@@ -1,5 +1,6 @@
 #include "common/subprocess.h"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
@@ -8,12 +9,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <new>
+#include <utility>
 
+#include "common/atomic_file.h"
 #include "common/deadline.h"
 #include "common/failpoint.h"
 #include "common/memory.h"
@@ -95,40 +98,85 @@ const char* RunStatusName(RunStatus status) {
   return "UNKNOWN";
 }
 
-Result<int> CountProcThreads() {
-  FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) {
-    return Status::Internal("/proc/self/status unavailable");
-  }
-  char line[256];
-  int threads = -1;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "Threads:", 8) == 0) {
-      threads = static_cast<int>(std::strtol(line + 8, nullptr, 10));
-      break;
-    }
-  }
+namespace {
+
+// PF_EXITING (include/linux/sched.h): set at the very start of do_exit(),
+// before the thread releases its memory map and wakes its joiner.
+constexpr unsigned kPfExiting = 0x4;
+
+// Whether /proc/self/task/<tid>/stat shows a thread that has not begun to
+// exit. A thread that vanished between readdir and open is not live.
+bool TaskIsLive(const char* tid) {
+  const std::string path = std::string("/proc/self/task/") + tid + "/stat";
+  FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) return false;
+  char line[1024];
+  const bool read = std::fgets(line, sizeof(line), f) != nullptr;
   std::fclose(f);
+  if (!read) return false;
+  // "tid (comm) state ppid pgrp session tty_nr tpgid flags ..."; comm may
+  // hold spaces and parentheses, so parse from the last ')'.
+  const char* rparen = std::strrchr(line, ')');
+  char state = 0;
+  unsigned flags = 0;
+  if (rparen == nullptr ||
+      std::sscanf(rparen + 1, " %c %*d %*d %*d %*d %*d %u", &state,
+                  &flags) != 2) {
+    return true;  // Unparseable: count it, the conservative answer.
+  }
+  return (flags & kPfExiting) == 0;
+}
+
+// Guards the registry, and holds it still while the audit compares it with
+// the kernel's view.
+std::mutex g_registry_mu;
+int g_fork_tolerant_threads = 0;  // Guarded by g_registry_mu.
+
+void AddForkTolerant(int delta) {
+  std::lock_guard<std::mutex> lock(g_registry_mu);
+  g_fork_tolerant_threads += delta;
+}
+
+}  // namespace
+
+Result<int> CountProcThreads() {
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) {
+    return Status::Internal("/proc/self/task unavailable");
+  }
+  int threads = 0;
+  while (const struct dirent* entry = readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    if (TaskIsLive(entry->d_name)) ++threads;
+  }
+  closedir(dir);
   if (threads <= 0) {
-    return Status::Internal("Threads line missing from /proc/self/status");
+    return Status::Internal("no live thread listed in /proc/self/task");
   }
   return threads;
 }
 
-namespace {
-std::atomic<int> g_fork_tolerant_threads{0};
-}  // namespace
-
-ScopedForkTolerantThread::ScopedForkTolerantThread() {
-  g_fork_tolerant_threads.fetch_add(1, std::memory_order_relaxed);
+ForkTolerantThread::ForkTolerantThread(std::function<void()> body) {
+  AddForkTolerant(1);
+  try {
+    thread_ = std::thread(std::move(body));
+  } catch (...) {
+    AddForkTolerant(-1);
+    throw;
+  }
 }
 
-ScopedForkTolerantThread::~ScopedForkTolerantThread() {
-  g_fork_tolerant_threads.fetch_sub(1, std::memory_order_relaxed);
+ForkTolerantThread::~ForkTolerantThread() { join(); }
+
+void ForkTolerantThread::join() {
+  if (!thread_.joinable()) return;
+  thread_.join();
+  AddForkTolerant(-1);
 }
 
 int ForkTolerantThreadsRegistered() {
-  return g_fork_tolerant_threads.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(g_registry_mu);
+  return g_fork_tolerant_threads;
 }
 
 bool WritePayload(int fd, const std::string& bytes) {
@@ -136,16 +184,7 @@ bool WritePayload(int fd, const std::string& bytes) {
   const uint64_t len = bytes.size();
   frame.append(reinterpret_cast<const char*>(&len), sizeof(len));
   frame.append(bytes);
-  size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n = write(fd, frame.data() + off, frame.size() - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
+  return WriteAll(fd, frame);
 }
 
 Result<SubprocessResult> RunIsolated(
@@ -154,17 +193,21 @@ Result<SubprocessResult> RunIsolated(
   // Refuse to fork when threads we do not know about exist: a lock held by
   // one of them at fork time would be held forever in the child. The pool
   // workers are accounted for because ParallelFor runs inline after fork;
-  // explicitly registered fork-tolerant threads (server workers) have made
-  // the same promise via ScopedForkTolerantThread.
-  auto threads = CountProcThreads();
-  const int known =
-      1 + ParallelWorkersStarted() + ForkTolerantThreadsRegistered();
-  if (threads.ok() && *threads > known) {
-    return Status::FailedPrecondition(
-        "RunIsolated: " + std::to_string(*threads) +
-        " threads running but only " + std::to_string(known) +
-        " (main + pool workers + registered fork-tolerant threads) are "
-        "known fork-tolerant");
+  // ForkTolerantThreads have made the same promise. The kernel is read
+  // first and the registry second, with the registry held still: a thread
+  // counted live was registered before it started and stays registered
+  // until it has been joined, and the pool count only grows.
+  {
+    std::lock_guard<std::mutex> lock(g_registry_mu);
+    auto threads = CountProcThreads();
+    const int known = 1 + ParallelWorkersStarted() + g_fork_tolerant_threads;
+    if (threads.ok() && *threads > known) {
+      return Status::FailedPrecondition(
+          "RunIsolated: " + std::to_string(*threads) +
+          " threads running but only " + std::to_string(known) +
+          " (main + pool workers + registered fork-tolerant threads) are "
+          "known fork-tolerant");
+    }
   }
 
   GA_FAILPOINT_STATUS(

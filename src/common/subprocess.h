@@ -13,15 +13,16 @@
 // depend on any thread started before it. The graphalign thread pool is
 // fork-tolerant by construction (ParallelFor detects a forked child and runs
 // inline; see parallel.cc), and RunIsolated refuses to fork — returning
-// FailedPrecondition — when /proc shows threads beyond the main thread and
-// the known pool workers, rather than risking a deadlock on a lock held by a
-// thread that no longer exists.
+// FailedPrecondition — when /proc shows threads beyond the main thread, the
+// known pool workers and the registered ForkTolerantThreads, rather than
+// risking a deadlock on a lock held by a thread that no longer exists.
 #ifndef GRAPHALIGN_COMMON_SUBPROCESS_H_
 #define GRAPHALIGN_COMMON_SUBPROCESS_H_
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <thread>
 
 #include "common/status.h"
 
@@ -92,27 +93,40 @@ Result<SubprocessResult> RunIsolated(const std::function<int(int payload_fd)>& b
 // child body). Returns false on a short or failed write.
 bool WritePayload(int fd, const std::string& bytes);
 
-// Declares the current thread fork-tolerant for the lifetime of the object:
-// the thread promises that nothing a RunIsolated child executes depends on
-// state (locks, condition variables) this thread may hold at fork time. The
-// server's worker threads register themselves so they can fork isolated
-// alignments while their siblings keep serving; like the parallel pool's
-// workers, they qualify because the forked child never touches the server's
-// queues or cache. Unregistered foreign threads still make RunIsolated
-// refuse with FailedPrecondition.
-class ScopedForkTolerantThread {
+// A joinable thread that RunIsolated's fork-safety audit knows about for its
+// whole kernel lifetime: it is registered before the std::thread is
+// constructed and unregistered only after join() returns, so the kernel's
+// thread count can never be ahead of the registry. The body promises that
+// nothing a RunIsolated child executes depends on state (locks, condition
+// variables) it may hold at fork time. The server's threads qualify because
+// the forked child never touches the server's queues or cache; like the
+// parallel pool's workers, they may exist while siblings fork. Unregistered
+// foreign threads still make RunIsolated refuse with FailedPrecondition.
+// Destroying a still-joinable ForkTolerantThread joins it.
+class ForkTolerantThread {
  public:
-  ScopedForkTolerantThread();
-  ~ScopedForkTolerantThread();
-  ScopedForkTolerantThread(const ScopedForkTolerantThread&) = delete;
-  ScopedForkTolerantThread& operator=(const ScopedForkTolerantThread&) = delete;
+  explicit ForkTolerantThread(std::function<void()> body);
+  ForkTolerantThread(ForkTolerantThread&&) noexcept = default;
+  ~ForkTolerantThread();
+
+  void join();
+  std::thread::native_handle_type native_handle() {
+    return thread_.native_handle();
+  }
+
+ private:
+  std::thread thread_;
 };
 
 // Number of currently registered fork-tolerant threads (beyond the pool).
 int ForkTolerantThreadsRegistered();
 
-// Number of threads of the calling process per /proc/self/status, or a
-// Status when /proc is unavailable.
+// Number of threads of the calling process that have not begun to exit,
+// per /proc/self/task, or a Status when /proc is unavailable. A thread
+// whose join() has returned is excluded even while the kernel still counts
+// it in /proc/self/status: join() returns when the thread releases its
+// memory map, a moment before the thread group stops counting it, and by
+// then the thread is already flagged as exiting.
 Result<int> CountProcThreads();
 
 }  // namespace graphalign

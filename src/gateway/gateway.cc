@@ -401,12 +401,12 @@ class Gateway::Impl {
   }
 
   void Wait() {
-    std::vector<std::thread> threads;
+    std::vector<ForkTolerantThread> threads;
     {
       std::lock_guard<std::mutex> lock(mu_);
       threads.swap(threads_);
     }
-    for (std::thread& t : threads) t.join();
+    for (ForkTolerantThread& t : threads) t.join();
     std::lock_guard<std::mutex> lock(mu_);
     for (int fd : queue_) close(fd);
     queue_.clear();
@@ -433,9 +433,6 @@ class Gateway::Impl {
   // a silent stall).
 
   void AcceptLoop() {
-    // Socket shuffling only; fork-tolerant by the same argument as the
-    // daemon's accept thread (common/subprocess.h).
-    ScopedForkTolerantThread fork_tolerant;
     while (!stopping_.load(std::memory_order_relaxed)) {
       const int fd = accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) {
@@ -476,7 +473,6 @@ class Gateway::Impl {
   }
 
   void WorkerLoop() {
-    ScopedForkTolerantThread fork_tolerant;
     for (;;) {
       int fd = -1;
       {
@@ -994,7 +990,9 @@ class Gateway::Impl {
   std::condition_variable queue_cv_;
   std::deque<int> queue_;
   std::unordered_set<int> active_fds_;
-  std::vector<std::thread> threads_;
+  // Workers and accept: socket shuffling only, so fork-tolerant by the same
+  // argument as the daemon's threads (common/subprocess.h).
+  std::vector<ForkTolerantThread> threads_;
 
   std::atomic<uint64_t> connections_{0};
   std::atomic<uint64_t> requests_{0};

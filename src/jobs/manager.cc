@@ -152,8 +152,13 @@ void JobManager::ApplyEvent(std::string_view payload) {
   ++replay_bad_events_;
 }
 
+Status JobManager::Journal(std::string_view event) {
+  GA_RETURN_IF_ERROR(journal_->Append(event));
+  return journal_->Sync();
+}
+
 Status JobManager::JournalState(const JobRecord& r) {
-  return journal_->Append(EncodeStateEvent(r));
+  return Journal(EncodeStateEvent(r));
 }
 
 Result<std::unique_ptr<JobManager>> JobManager::Open(
@@ -162,9 +167,9 @@ Result<std::unique_ptr<JobManager>> JobManager::Open(
     return Status::InvalidArgument("job manager: directory is required");
   }
   std::unique_ptr<JobManager> mgr(new JobManager(options));
-  JobJournal::ReplayStats replay;
-  auto journal = JobJournal::Open(
-      options.dir,
+  RecordLog::ReplayStats replay;
+  auto journal = RecordLog::Open(
+      options.dir, kJobJournalFormat,
       [&mgr](std::string_view payload) { mgr->ApplyEvent(payload); },
       &replay);
   if (!journal.ok()) return journal.status();
@@ -240,7 +245,7 @@ Result<JobManager::SubmitOutcome> JobManager::Submit(
   rec.updated_unix_ms = now_ms;
   // Durability IS the contract: a job that cannot be journaled is refused
   // outright (kUnavailable), never half-accepted into memory only.
-  GA_RETURN_IF_ERROR(journal_->Append(EncodeSubmitEvent(rec)));
+  GA_RETURN_IF_ERROR(Journal(EncodeSubmitEvent(rec)));
   JobRecord& stored = jobs_[job_id];
   stored = std::move(rec);
   if (!idem_key.empty()) idem_[idem_key] = job_id;

@@ -15,7 +15,8 @@
 //                                                                    v
 //                                                               CANCELLED
 //
-// Every transition is journaled (jobs/journal.h) *before* it takes effect,
+// Every transition is journaled *before* it takes effect — appended to the
+// GAJ1 record log (kJobJournalFormat, common/record_log.h) and fsynced —
 // so replay after `kill -9` reconstructs the table exactly: DONE jobs keep
 // their results, RUNNING jobs go back to ACCEPTED (counted as recovered)
 // unless their attempts are exhausted — then they become a typed FAILED,
@@ -42,10 +43,22 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/record_log.h"
 #include "common/status.h"
-#include "jobs/journal.h"
 
 namespace graphalign {
+
+// Journal records beyond this payload size are refused at append and
+// treated as corruption at replay. Sized to hold an inline graph-pair spec
+// (the GAF1 frame cap) plus event framing.
+inline constexpr uint32_t kMaxJournalPayload = (64u << 20) + 4096;
+
+// The job journal: `<dir>/jobs.journal`, one event per record. Jobs are
+// heavyweight (each execution forks an isolated child), so one fsync per
+// transition is noise next to the work it makes durable — and it is what
+// turns "accepted" into a promise that survives the daemon.
+inline constexpr RecordLogFormat kJobJournalFormat{
+    "GAJ1", "jobs.journal", kMaxJournalPayload, "jobs.journal"};
 
 enum class JobState : uint32_t {
   kAccepted = 0,     // Journaled, waiting for a runner.
@@ -188,10 +201,11 @@ class JobManager {
   std::string EncodeSubmitEvent(const JobRecord& r) const;
   std::string EncodeStateEvent(const JobRecord& r) const;
   void ApplyEvent(std::string_view payload);
-  Status JournalState(const JobRecord& r);  // Append + count errors.
+  Status Journal(std::string_view event);  // Append, then fsync.
+  Status JournalState(const JobRecord& r);
 
   const JobManagerOptions options_;
-  std::unique_ptr<JobJournal> journal_;
+  std::unique_ptr<RecordLog> journal_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -205,7 +219,7 @@ class JobManager {
   uint64_t submitted_ = 0, deduped_ = 0, done_ = 0, failed_ = 0;
   uint64_t cancelled_ = 0, executions_ = 0, recovered_ = 0, gced_ = 0;
   uint64_t replay_bad_events_ = 0;
-  JobJournal::ReplayStats replay_stats_;
+  RecordLog::ReplayStats replay_stats_;
 };
 
 }  // namespace graphalign

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -102,10 +103,20 @@ Client::~Client() {
 
 Result<Response> Client::Call(const Request& request) {
   if (fd_ < 0) return Status::FailedPrecondition("client: not connected");
-  GA_RETURN_IF_ERROR(WriteFrameToFd(fd_, EncodeRequest(request)));
+  // The daemon answers some requests without reading them — BUSY at
+  // admission, SHUTTING_DOWN at drain, a typed ERROR from a failed worker —
+  // and then closes. A send that races that close fails, but the answer is
+  // already waiting here, so a failed send still reads whatever is ready.
+  const Status sent = WriteFrameToFd(fd_, EncodeRequest(request));
+  if (!sent.ok()) {
+    struct pollfd ready = {fd_, POLLIN, 0};
+    if (poll(&ready, 1, 0) != 1) return sent;
+  }
   std::string payload;
-  GA_ASSIGN_OR_RETURN(const bool got_frame, ReadFrameFromFd(fd_, &payload));
-  if (!got_frame) {
+  const Result<bool> got_frame = ReadFrameFromFd(fd_, &payload);
+  if (!sent.ok() && !(got_frame.ok() && *got_frame)) return sent;
+  if (!got_frame.ok()) return got_frame.status();
+  if (!*got_frame) {
     return Status::Internal(
         "server closed the connection without responding");
   }

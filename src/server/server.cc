@@ -28,15 +28,24 @@
 #include "common/failpoint.h"
 #include "common/subprocess.h"
 #include "common/timer.h"
+#include "common/wire.h"
 #include "jobs/manager.h"
 #include "metrics/metrics.h"
-#include "server/cache_store.h"
 #include "server/protocol.h"
 #include "store/graph_store.h"
 
 namespace graphalign {
 
 namespace {
+
+// A cache-log payload: the u64 cache key, then the encoded result.
+std::string CacheLogRecord(uint64_t key, std::string_view value) {
+  ByteWriter w;
+  w.U64(key);
+  std::string record = w.Take();
+  record.append(value);
+  return record;
+}
 
 // Converts between the wire's fixed-width mapping and the library Alignment.
 Alignment ToAlignment(const std::vector<int32_t>& wire) {
@@ -238,33 +247,40 @@ class Server::Impl {
     if (!options_.cache_dir.empty()) {
       // Warm restart: replay the durable log into the in-memory cache. A
       // broken log costs warmth, never startup.
-      auto store = CacheStore::Open(
-          options_.cache_dir,
-          [this](uint64_t key, std::string value) {
-            cache_.Put(key, std::move(value));
+      auto log = RecordLog::Open(
+          options_.cache_dir, kCacheLogFormat,
+          [this](std::string_view payload) {
+            uint64_t key = 0;
+            ByteReader r(payload);
+            if (!r.U64(&key)) return;  // Too short to hold a key.
+            cache_.Put(key, std::string(payload.substr(sizeof(key))));
           },
           &replay_stats_);
-      if (store.ok()) {
-        store_ = *std::move(store);
+      if (log.ok()) {
+        cache_log_ = *std::move(log);
       } else {
         cache_open_errors_.fetch_add(1, std::memory_order_relaxed);
         std::fprintf(stderr, "cache store disabled (cold cache): %s\n",
-                     store.status().ToString().c_str());
+                     log.status().ToString().c_str());
       }
-      if (store_ != nullptr && options_.cache_compact_mb > 0.0) {
+      if (cache_log_ != nullptr && options_.cache_compact_mb > 0.0) {
         // Startup compaction: the replayed log may be mostly superseded
         // values and skipped residue; past the threshold, rewrite just the
         // live entries. Atomic publish — failure keeps the old log whole.
         const uint64_t threshold = static_cast<uint64_t>(
             options_.cache_compact_mb * 1024.0 * 1024.0);
-        const uint64_t before = store_->log_bytes();
+        const uint64_t before = cache_log_->log_bytes();
         if (before > threshold) {
-          Status compacted = store_->Compact(cache_.Snapshot());
+          std::vector<std::string> live;
+          for (const auto& [key, value] : cache_.Snapshot()) {
+            live.push_back(CacheLogRecord(key, value));
+          }
+          Status compacted = cache_log_->Compact(live);
           if (compacted.ok()) {
-            std::fprintf(stderr,
-                         "cache log compacted: %llu -> %llu bytes\n",
-                         static_cast<unsigned long long>(before),
-                         static_cast<unsigned long long>(store_->log_bytes()));
+            std::fprintf(
+                stderr, "cache log compacted: %llu -> %llu bytes\n",
+                static_cast<unsigned long long>(before),
+                static_cast<unsigned long long>(cache_log_->log_bytes()));
           } else {
             std::fprintf(stderr, "cache log compaction failed (kept): %s\n",
                          compacted.ToString().c_str());
@@ -381,8 +397,8 @@ class Server::Impl {
                      sealed.ToString().c_str());
       }
     }
-    if (store_ != nullptr) {
-      Status synced = store_->Sync();
+    if (cache_log_ != nullptr) {
+      Status synced = cache_log_->Sync();
       if (!synced.ok()) {
         std::fprintf(stderr, "cache log seal failed: %s\n",
                      synced.ToString().c_str());
@@ -391,12 +407,12 @@ class Server::Impl {
   }
 
   void Wait() {
-    std::vector<std::thread> threads;
+    std::vector<ForkTolerantThread> threads;
     {
       std::lock_guard<std::mutex> lock(mu_);
       threads.swap(threads_);
     }
-    for (std::thread& t : threads) t.join();
+    for (ForkTolerantThread& t : threads) t.join();
     // Close connections that were still queued when the plug was pulled.
     std::lock_guard<std::mutex> lock(mu_);
     for (const QueueEntry& e : queue_) close(e.fd);
@@ -428,7 +444,8 @@ class Server::Impl {
     s.cache_replayed = replay_stats_.replayed;
     s.cache_crc_skipped = replay_stats_.crc_skipped;
     s.cache_truncated_bytes = replay_stats_.truncated_bytes;
-    s.cache_append_errors = store_ != nullptr ? store_->append_errors() : 0;
+    s.cache_append_errors =
+        cache_log_ != nullptr ? cache_log_->append_errors() : 0;
     s.cache_open_errors = cache_open_errors_.load(std::memory_order_relaxed);
     if (graph_store_ != nullptr) {
       const GraphStore::Counters c = graph_store_->counters();
@@ -546,7 +563,6 @@ class Server::Impl {
     // Accepting and turning away overload is queue-and-socket work only;
     // nothing an isolated child could depend on, so the thread is
     // fork-tolerant by the same argument as the workers.
-    ScopedForkTolerantThread fork_tolerant;
     while (!stopping_.load(std::memory_order_relaxed)) {
       const int fd = accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) {
@@ -602,7 +618,6 @@ class Server::Impl {
     // Workers fork isolated align children while siblings serve; the child
     // never touches the queue, the cache, or any server lock, which is what
     // makes this thread safe to fork under (see common/subprocess.h).
-    ScopedForkTolerantThread fork_tolerant;
     for (;;) {
       int fd = -1;
       double queue_wait_ms = 0.0;
@@ -656,7 +671,6 @@ class Server::Impl {
   // the client as a typed ERROR, and in the stats as a watchdog kill plus a
   // restart on that worker's counter.
   void WatchdogLoop() {
-    ScopedForkTolerantThread fork_tolerant;
     // Own condition variable: the watchdog must never absorb a
     // queue_cv_.notify_one() meant to hand a connection to a worker.
     std::unique_lock<std::mutex> lock(mu_);
@@ -1090,7 +1104,6 @@ class Server::Impl {
   // synchronous align uses → journal the completion. Each runner owns a
   // watchdog slot, so a hung job child is killed like a hung request child.
   void JobRunnerLoop(WorkerSlot* slot) {
-    ScopedForkTolerantThread fork_tolerant;
     JobRecord job;
     std::shared_ptr<std::atomic<bool>> cancel;
     while (jobs_->ClaimNext(&job, &cancel)) {
@@ -1398,7 +1411,10 @@ class Server::Impl {
       auto decoded = DecodeAlignResult(response.body);
       if (decoded.ok() && !decoded->degraded) {
         cache_.Put(key, response.body);
-        if (store_ != nullptr) store_->Append(key, response.body);
+        if (cache_log_ != nullptr) {
+          // A failed append is counted by the log; the cache keeps serving.
+          (void)cache_log_->Append(CacheLogRecord(key, response.body));
+        }
       }
     }
     return response;
@@ -1613,8 +1629,8 @@ class Server::Impl {
 
   const ServerOptions options_;
   ResultCache cache_;
-  std::unique_ptr<CacheStore> store_;     // Null without cache_dir.
-  CacheStore::ReplayStats replay_stats_;  // Fixed after Start().
+  std::unique_ptr<RecordLog> cache_log_;  // Null without cache_dir.
+  RecordLog::ReplayStats replay_stats_;   // Fixed after Start().
   std::unique_ptr<GraphStore> graph_store_;  // Null without store_dir.
   std::atomic<uint64_t> store_unavailable_{0};  // store_dir set but unusable.
   std::unique_ptr<JobManager> jobs_;  // Null without jobs_dir (or unusable).
@@ -1633,7 +1649,9 @@ class Server::Impl {
   std::condition_variable watchdog_cv_;
   std::deque<QueueEntry> queue_;          // Admitted, not yet served.
   std::unordered_set<int> active_fds_;    // Being served by a worker.
-  std::vector<std::thread> threads_;      // Workers + watchdog + accept.
+  // Workers, job runners, watchdog and accept: every thread the daemon
+  // starts may exist while a worker forks.
+  std::vector<ForkTolerantThread> threads_;
   std::deque<WorkerSlot> slots_;          // Fixed after Start().
 
   std::mutex quota_mu_;

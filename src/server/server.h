@@ -22,7 +22,7 @@
 // cache (server/cache.h) keyed on (g1 hash, g2 hash, algo, assignment), so
 // a repeated identical request is answered from memory in microseconds.
 // With cache_dir set, completed entries also spill to an append-only
-// CRC-checksummed log (server/cache_store.h) replayed at startup, so a
+// CRC-checksummed record log (kCacheLogFormat) replayed at startup, so a
 // restart comes up warm.
 //
 // Overload robustness (DESIGN.md §14): per-client token-bucket quotas
@@ -36,11 +36,19 @@
 #include <memory>
 #include <string>
 
+#include "common/record_log.h"
 #include "common/status.h"
 #include "server/cache.h"
 #include "server/protocol.h"
 
 namespace graphalign {
+
+// The durable result-cache log under ServerOptions::cache_dir (DESIGN.md
+// §14). Each payload is the u64 cache key followed by the encoded result;
+// replay skips a payload too short to hold the key.
+inline constexpr RecordLogFormat kCacheLogFormat{
+    "GAR1", "cache.log", kMaxFramePayload + sizeof(uint64_t),
+    "server.cache"};
 
 struct ServerOptions {
   // Exactly one transport: a Unix socket path (preferred for local use;
@@ -71,7 +79,7 @@ struct ServerOptions {
   double wall_slack_seconds = 30.0;
   double default_wall_limit_seconds = 300.0;
 
-  // Durable cache log directory (server/cache_store.h). Replayed at
+  // Durable cache log directory (kCacheLogFormat). Replayed at
   // startup (warm restart); every clean cached result is appended. Empty =
   // in-memory cache only. Open/replay failure degrades to a cold cache and
   // is counted in the stats; it never prevents startup.
@@ -108,8 +116,8 @@ struct ServerOptions {
 
   // Startup compaction threshold for the durable cache log, in megabytes:
   // when the log on disk exceeds this after replay, live records are
-  // rewritten to a fresh log via the same atomic temp+fsync+rename publish
-  // the store uses. 0 = never compact.
+  // rewritten to a fresh log via the same atomic publish the store uses
+  // (common/atomic_file.h). 0 = never compact.
   double cache_compact_mb = 0.0;
 
   // Durable async job subsystem (src/jobs, DESIGN.md §17): kSubmitJob

@@ -1,8 +1,5 @@
 #include "store/gst.h"
 
-#include <fcntl.h>
-#include <libgen.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -11,6 +8,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/atomic_file.h"
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "store/mapped_file.h"
@@ -40,19 +38,6 @@ uint64_t GetU64(std::string_view bytes, size_t pos) {
   uint64_t v = 0;
   std::memcpy(&v, bytes.data() + pos, sizeof(v));
   return v;
-}
-
-bool WriteAll(int fd, const char* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = write(fd, data + off, len - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
 }
 
 Status Corrupt(const std::string& what) {
@@ -248,53 +233,10 @@ Status WriteGstFile(const Graph& g, const std::string& path) {
   static std::atomic<uint64_t> temp_seq{0};
   const std::string tmp = path + ".tmp-" + std::to_string(getpid()) + "-" +
                           std::to_string(temp_seq.fetch_add(1));
-  const int fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::Unavailable("cannot create " + tmp + ": " +
-                               std::string(strerror(errno)));
-  }
-  if (!WriteAll(fd, bytes.data(), bytes.size())) {
-    const int err = errno;
-    close(fd);
-    unlink(tmp.c_str());
-    return Status::Unavailable("write to " + tmp + " failed: " +
-                               std::string(strerror(err)));
-  }
-  if (GA_FAILPOINT_FIRED("store.fsync.error") || fsync(fd) != 0) {
-    close(fd);
-    unlink(tmp.c_str());
-    return Status::Unavailable("fsync of " + tmp + " failed");
-  }
-  close(fd);
-  // The crash window: temp durable, final name not yet published. The
-  // injected variant returns here ON PURPOSE without unlinking the temp —
-  // exactly the garbage a real crash leaves for `store gc` to collect.
-  GA_FAILPOINT_STATUS(
-      "store.rename.error",
-      Status::Unavailable("crash before rename (injected); temp left behind"));
-  if (rename(tmp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
-    unlink(tmp.c_str());
-    return Status::Unavailable("rename to " + path + " failed: " +
-                               std::string(strerror(err)));
-  }
-  // fsync the directory so the rename itself survives power loss; without
-  // it the publish is atomic but not yet durable.
-  std::string dir_copy = path;
-  const char* dir = dirname(dir_copy.data());
-  const int dfd = open(dir, O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) {
-    return Status::Unavailable("cannot open directory " + std::string(dir) +
-                               " for fsync: " + std::string(strerror(errno)));
-  }
-  if (fsync(dfd) != 0) {
-    const int err = errno;
-    close(dfd);
-    return Status::Unavailable("directory fsync failed: " +
-                               std::string(strerror(err)));
-  }
-  close(dfd);
-  return Status::Ok();
+  static Failpoint& fsync_fp = Failpoint::Get("store.fsync.error");
+  static Failpoint& rename_fp = Failpoint::Get("store.rename.error");
+  return PublishFile(path, tmp, bytes, /*published_fd=*/nullptr,
+                     {.fsync = &fsync_fp, .before_rename = &rename_fp});
 }
 
 }  // namespace graphalign

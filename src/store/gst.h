@@ -31,10 +31,10 @@
 // transient IO/mmap problems come back kUnavailable and must not be treated
 // as corruption.
 //
-// Writes are crash-safe by construction: WriteGstFile writes a temp file in
-// the destination directory, fsyncs it, rename(2)s it over the final name,
-// and fsyncs the directory. A crash at any point leaves either no visible
-// file or the complete published file — never a visible partial.
+// Writes are crash-safe by construction: WriteGstFile publishes through
+// PublishFile (common/atomic_file.h) with a per-writer temp name, so a
+// crash at any point leaves either no visible file or the complete
+// published file — never a visible partial.
 //
 // Failpoints (tools/run_chaos.sh arms them): store.write.error,
 // store.fsync.error, store.rename.error (crash window between temp write

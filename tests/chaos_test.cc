@@ -26,13 +26,14 @@
 #include "bench_framework/experiment.h"
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "common/record_log.h"
 #include "common/retry.h"
 #include "common/status.h"
+#include "common/wire.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "noise/noise.h"
-#include "server/cache_store.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -558,8 +559,9 @@ TEST_F(ChaosServerTest, PersistentNumericalFaultYieldsNumericalResponse) {
 }
 
 // ---------------------------------------------------------------------------
-// Durable cache log (DESIGN.md §14): crash-shaped damage — torn tails, bit
-// rot, an unreadable log — yields a warm-or-cold cache, never a dead daemon.
+// Durable cache log (DESIGN.md §14), a RecordLog in kCacheLogFormat:
+// crash-shaped damage — torn tails, bit rot, an unreadable log — yields a
+// warm-or-cold cache, never a dead daemon.
 
 class CacheStoreChaosTest : public ChaosTest {
  protected:
@@ -575,14 +577,30 @@ class CacheStoreChaosTest : public ChaosTest {
     ChaosTest::TearDown();
   }
 
-  // Opens the log and collects everything replay delivers.
-  Result<std::unique_ptr<CacheStore>> OpenCollecting(
+  // The daemon's cache-log payload: the u64 key, then the value.
+  static std::string Record(uint64_t key, const std::string& value) {
+    ByteWriter w;
+    w.U64(key);
+    return w.Take() + value;
+  }
+
+  // Appends like the daemon does: failures are counted by the log.
+  static void Append(RecordLog& log, uint64_t key, const std::string& value) {
+    (void)log.Append(Record(key, value));
+  }
+
+  // Opens the cache log and collects everything replay delivers, with the
+  // key split off the way the daemon does it.
+  Result<std::unique_ptr<RecordLog>> OpenCollecting(
       std::vector<std::pair<uint64_t, std::string>>* out,
-      CacheStore::ReplayStats* stats) {
-    return CacheStore::Open(
-        dir_,
-        [out](uint64_t key, std::string value) {
-          out->push_back({key, std::move(value)});
+      RecordLog::ReplayStats* stats) {
+    return RecordLog::Open(
+        dir_, kCacheLogFormat,
+        [out](std::string_view payload) {
+          uint64_t key = 0;
+          ByteReader r(payload);
+          ASSERT_TRUE(r.U64(&key));
+          out->push_back({key, std::string(payload.substr(sizeof(key)))});
         },
         stats);
   }
@@ -596,13 +614,13 @@ TEST_F(CacheStoreChaosTest, GoldenRoundTripAcrossReopen) {
     auto store = OpenCollecting(&replayed, nullptr);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     EXPECT_TRUE(replayed.empty());
-    (*store)->Append(1, "first");
-    (*store)->Append(2, std::string(1000, 'x'));
-    (*store)->Append(3, "");  // Zero-length values are legal records.
+    Append(**store, 1, "first");
+    Append(**store, 2, std::string(1000, 'x'));
+    Append(**store, 3, "");  // Zero-length values are legal records.
     EXPECT_EQ((*store)->append_errors(), 0u);
   }
   std::vector<std::pair<uint64_t, std::string>> replayed;
-  CacheStore::ReplayStats stats;
+  RecordLog::ReplayStats stats;
   auto store = OpenCollecting(&replayed, &stats);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_EQ(replayed.size(), 3u);
@@ -620,14 +638,14 @@ TEST_F(CacheStoreChaosTest, TornTailIsTruncatedBackToLastGoodRecord) {
     std::vector<std::pair<uint64_t, std::string>> replayed;
     auto store = OpenCollecting(&replayed, nullptr);
     ASSERT_TRUE(store.ok());
-    (*store)->Append(10, "survives");
+    Append(**store, 10, "survives");
     // The armed torn append writes a record cut off mid-payload, exactly
     // what a crash between write() and close() leaves behind.
     ASSERT_TRUE(ActivateFailpoint("server.cache.append.torn", "once").ok());
-    (*store)->Append(11, "torn-away-by-the-crash");
+    Append(**store, 11, "torn-away-by-the-crash");
   }
   std::vector<std::pair<uint64_t, std::string>> replayed;
-  CacheStore::ReplayStats stats;
+  RecordLog::ReplayStats stats;
   auto store = OpenCollecting(&replayed, &stats);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_EQ(replayed.size(), 1u);
@@ -638,7 +656,7 @@ TEST_F(CacheStoreChaosTest, TornTailIsTruncatedBackToLastGoodRecord) {
 
   // The truncation healed the file: appends after the reopen land on a
   // clean boundary and a third open replays both records undamaged.
-  (*store)->Append(12, "after-heal");
+  Append(**store, 12, "after-heal");
   store->reset();
   replayed.clear();
   auto again = OpenCollecting(&replayed, &stats);
@@ -656,9 +674,9 @@ TEST_F(CacheStoreChaosTest, CrcMismatchSkipsOnlyTheRottedRecord) {
     std::vector<std::pair<uint64_t, std::string>> replayed;
     auto store = OpenCollecting(&replayed, nullptr);
     ASSERT_TRUE(store.ok());
-    (*store)->Append(20, value_a);
-    (*store)->Append(21, value_b);
-    (*store)->Append(22, value_c);
+    Append(**store, 20, value_a);
+    Append(**store, 21, value_b);
+    Append(**store, 22, value_c);
   }
   // Flip one byte inside record B's value. Records are
   // 12-byte header + 8-byte key + value, so B's value starts at
@@ -677,7 +695,7 @@ TEST_F(CacheStoreChaosTest, CrcMismatchSkipsOnlyTheRottedRecord) {
     ASSERT_TRUE(f.good());
   }
   std::vector<std::pair<uint64_t, std::string>> replayed;
-  CacheStore::ReplayStats stats;
+  RecordLog::ReplayStats stats;
   auto store = OpenCollecting(&replayed, &stats);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   // Bit rot is local: A and C survive, only B is dropped.
@@ -696,11 +714,11 @@ TEST_F(CacheStoreChaosTest, CompactionReplaysByteIdenticallyAndDropsDead) {
     std::vector<std::pair<uint64_t, std::string>> replayed;
     auto store = OpenCollecting(&replayed, nullptr);
     ASSERT_TRUE(store.ok());
-    (*store)->Append(40, "stale-value");
-    (*store)->Append(41, std::string(500, 'q'));
-    (*store)->Append(40, "fresh-value");  // Supersedes the first record.
+    Append(**store, 40, "stale-value");
+    Append(**store, 41, std::string(500, 'q'));
+    Append(**store, 40, "fresh-value");  // Supersedes the first record.
     ASSERT_TRUE(ActivateFailpoint("server.cache.append.torn", "once").ok());
-    (*store)->Append(42, "torn-away");
+    Append(**store, 42, "torn-away");
   }
   // Replay as the daemon would, collapse to live entries, compact.
   std::vector<std::pair<uint64_t, std::string>> replayed;
@@ -710,17 +728,20 @@ TEST_F(CacheStoreChaosTest, CompactionReplaysByteIdenticallyAndDropsDead) {
   const std::vector<std::pair<uint64_t, std::string>> live = {
       {41, std::string(500, 'q')}, {40, "fresh-value"}};
   const uint64_t before = (*store)->log_bytes();
-  ASSERT_TRUE((*store)->Compact(live).ok());
+  ASSERT_TRUE((*store)
+                  ->Compact({Record(live[0].first, live[0].second),
+                             Record(live[1].first, live[1].second)})
+                  .ok());
   EXPECT_LT((*store)->log_bytes(), before);
   // The append fd switched to the published log: post-compaction appends
   // land in the new file.
-  (*store)->Append(43, "after-compact");
+  Append(**store, 43, "after-compact");
   store->reset();
 
   // Byte-identical replay: same keys, same values, same order, plus the
   // post-compaction append; no skips, no truncation.
   std::vector<std::pair<uint64_t, std::string>> after;
-  CacheStore::ReplayStats stats;
+  RecordLog::ReplayStats stats;
   auto reopened = OpenCollecting(&after, &stats);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ASSERT_EQ(after.size(), 3u);
@@ -740,12 +761,12 @@ TEST_F(CacheStoreChaosTest, AppendErrorFailpointIsCountedNotFatal) {
   auto store = OpenCollecting(&replayed, nullptr);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(ActivateFailpoint("server.cache.append.error", "once").ok());
-  (*store)->Append(30, "dropped");
-  (*store)->Append(31, "kept");
+  Append(**store, 30, "dropped");
+  Append(**store, 31, "kept");
   EXPECT_EQ((*store)->append_errors(), 1u);
   store->reset();
 
-  CacheStore::ReplayStats stats;
+  RecordLog::ReplayStats stats;
   replayed.clear();
   auto again = OpenCollecting(&replayed, &stats);
   ASSERT_TRUE(again.ok());

@@ -872,14 +872,13 @@ TEST_F(GatewayFixture, ConcurrentClientsAllSucceed) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 4;
   std::vector<int> failures(kThreads, 0);
-  std::vector<std::thread> threads;
+  // The daemon lives in this process and forks per alignment; these client
+  // threads only touch sockets, so they register as fork-tolerant exactly
+  // like the gateway's own workers.
+  std::vector<ForkTolerantThread> threads;
   const int p = port();
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t, p, &failures] {
-      // The daemon lives in this process and forks per alignment; these
-      // client threads only touch sockets, so they register as
-      // fork-tolerant exactly like the gateway's own workers.
-      ScopedForkTolerantThread fork_tolerant;
       for (int i = 0; i < kPerThread; ++i) {
         HttpReply reply = (t + i) % 2 == 0
                               ? Get(p, "/healthz")
@@ -888,7 +887,7 @@ TEST_F(GatewayFixture, ConcurrentClientsAllSucceed) {
       }
     });
   }
-  for (std::thread& t : threads) t.join();
+  for (ForkTolerantThread& t : threads) t.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[t], 0) << "thread " << t;
   }

@@ -15,8 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/record_log.h"
 #include "common/status.h"
-#include "jobs/journal.h"
 #include "jobs/manager.h"
 #include "server/protocol.h"
 
@@ -60,7 +60,7 @@ TEST_F(JobsTest, JournalAppendAndReplay) {
   std::vector<std::string> seen;
   auto collect = [&seen](std::string_view p) { seen.emplace_back(p); };
   {
-    auto journal = JobJournal::Open(dir_, collect);
+    auto journal = RecordLog::Open(dir_, kJobJournalFormat, collect);
     ASSERT_TRUE(journal.ok());
     EXPECT_TRUE(seen.empty());
     ASSERT_TRUE((*journal)->Append("alpha").ok());
@@ -68,8 +68,8 @@ TEST_F(JobsTest, JournalAppendAndReplay) {
     ASSERT_TRUE((*journal)->Append("beta").ok());
     EXPECT_GT((*journal)->log_bytes(), 0u);
   }
-  JobJournal::ReplayStats stats;
-  auto reopened = JobJournal::Open(dir_, collect, &stats);
+  RecordLog::ReplayStats stats;
+  auto reopened = RecordLog::Open(dir_, kJobJournalFormat, collect, &stats);
   ASSERT_TRUE(reopened.ok());
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], "alpha");
@@ -82,7 +82,7 @@ TEST_F(JobsTest, JournalAppendAndReplay) {
 TEST_F(JobsTest, JournalTruncatesTornTailAndStaysWritable) {
   auto noop = [](std::string_view) {};
   {
-    auto journal = JobJournal::Open(dir_, noop);
+    auto journal = RecordLog::Open(dir_, kJobJournalFormat, noop);
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE((*journal)->Append("good record").ok());
     // A crash mid-append: header + half the payload.
@@ -91,9 +91,9 @@ TEST_F(JobsTest, JournalTruncatesTornTailAndStaysWritable) {
               StatusCode::kUnavailable);
   }
   std::vector<std::string> seen;
-  JobJournal::ReplayStats stats;
-  auto reopened = JobJournal::Open(
-      dir_, [&seen](std::string_view p) { seen.emplace_back(p); }, &stats);
+  RecordLog::ReplayStats stats;
+  auto collect = [&seen](std::string_view p) { seen.emplace_back(p); };
+  auto reopened = RecordLog::Open(dir_, kJobJournalFormat, collect, &stats);
   ASSERT_TRUE(reopened.ok());
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], "good record");
@@ -101,8 +101,7 @@ TEST_F(JobsTest, JournalTruncatesTornTailAndStaysWritable) {
   // The torn tail was cut away: appends land on a clean boundary.
   ASSERT_TRUE((*reopened)->Append("after recovery").ok());
   seen.clear();
-  auto again = JobJournal::Open(
-      dir_, [&seen](std::string_view p) { seen.emplace_back(p); });
+  auto again = RecordLog::Open(dir_, kJobJournalFormat, collect);
   ASSERT_TRUE(again.ok());
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[1], "after recovery");
@@ -111,7 +110,7 @@ TEST_F(JobsTest, JournalTruncatesTornTailAndStaysWritable) {
 TEST_F(JobsTest, JournalSkipsCrcCorruptRecordAndKeepsRest) {
   auto noop = [](std::string_view) {};
   {
-    auto journal = JobJournal::Open(dir_, noop);
+    auto journal = RecordLog::Open(dir_, kJobJournalFormat, noop);
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE((*journal)->Append("first-record").ok());
     ASSERT_TRUE((*journal)->Append("second-record").ok());
@@ -124,9 +123,9 @@ TEST_F(JobsTest, JournalSkipsCrcCorruptRecordAndKeepsRest) {
   f.put('X');
   f.close();
   std::vector<std::string> seen;
-  JobJournal::ReplayStats stats;
-  auto reopened = JobJournal::Open(
-      dir_, [&seen](std::string_view p) { seen.emplace_back(p); }, &stats);
+  RecordLog::ReplayStats stats;
+  auto collect = [&seen](std::string_view p) { seen.emplace_back(p); };
+  auto reopened = RecordLog::Open(dir_, kJobJournalFormat, collect, &stats);
   ASSERT_TRUE(reopened.ok());
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], "second-record");
@@ -354,6 +353,24 @@ TEST_F(JobsTest, JournalAppendFailureRefusesTheSubmit) {
   EXPECT_EQ(m->Stats().pending, 0u);
   // The journal stays open; the next submit succeeds.
   EXPECT_TRUE(m->Submit("", "unjournaled-spec", 2100).ok());
+}
+
+TEST_F(JobsTest, JournalDiskFullIsUnavailableNeverCorruption) {
+  auto m = OpenManager();
+  ASSERT_TRUE(ActivateFailpoint("jobs.journal.append.enospc", "once").ok());
+  auto refused = m->Submit("", "disk-full-spec", 2000);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(m->Stats().journal_append_errors, 1u);
+  EXPECT_EQ(m->Get(JobContentId("disk-full-spec")).status().code(),
+            StatusCode::kNotFound);
+  // Nothing reached the disk, so a reopen replays a clean journal.
+  EXPECT_TRUE(m->Submit("", "disk-full-spec", 2100).ok());
+  m.reset();
+  auto reopened = OpenManager();
+  EXPECT_EQ(reopened->Stats().replay_crc_skipped, 0u);
+  EXPECT_EQ(reopened->Stats().replay_truncated_bytes, 0u);
+  EXPECT_TRUE(reopened->Get(JobContentId("disk-full-spec")).ok());
 }
 
 TEST_F(JobsTest, ContentIdIsStableAndNonZero) {

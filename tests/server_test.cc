@@ -491,6 +491,40 @@ TEST_F(ServerFixture, ConnectToMissingSocketFails) {
   EXPECT_EQ(client.status().code(), StatusCode::kNotFound);
 }
 
+// The daemon may answer and close before reading a request (BUSY at
+// admission, a typed ERROR from a failed worker). A request sent after that
+// close fails with EPIPE; the client must still deliver the typed answer.
+TEST_F(ServerFixture, AnswerSentBeforeTheRequestSurvivesAFailedSend) {
+  socket_path_ = TempSocketPath("early");
+  const int listener = socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  struct sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                socket_path_.c_str());
+  ASSERT_EQ(bind(listener, reinterpret_cast<struct sockaddr*>(&addr),
+                 sizeof(addr)), 0);
+  ASSERT_EQ(listen(listener, 1), 0);
+  auto client = Connect(5.0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // The fake daemon answers BUSY and hangs up before the client sends.
+  const int conn = accept(listener, nullptr, nullptr);
+  ASSERT_GE(conn, 0);
+  Response busy;
+  busy.code = ResponseCode::kBusy;
+  busy.message = "admission queue full";
+  ASSERT_TRUE(WriteFrameToFd(conn, EncodeResponse(busy)).ok());
+  close(conn);
+  close(listener);
+
+  Request ping;
+  ping.type = RequestType::kPing;
+  auto resp = client->Call(ping);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->code, ResponseCode::kBusy);
+  EXPECT_EQ(resp->message, "admission queue full");
+}
+
 TEST_F(ServerFixture, PingAndStatsAndEvaluate) {
   ServerOptions opts;
   opts.socket_path = TempSocketPath("basic");
@@ -743,14 +777,13 @@ TEST_F(ServerFixture, ConcurrentClientsAreServed) {
   Graph g1 = *std::move(gen1);
   Graph g2 = *std::move(gen2);
 
-  std::vector<std::thread> threads;
+  // These client threads share the daemon's process (unlike real clients),
+  // so they register with the fork-safety audit: they only block on socket
+  // IO and hold no locks while workers fork.
+  std::vector<ForkTolerantThread> threads;
   std::vector<int> oks(4, 0);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
-      // These client threads share the daemon's process (unlike real
-      // clients), so register them with the fork-safety audit: they only
-      // block on socket IO and hold no locks while workers fork.
-      ScopedForkTolerantThread fork_tolerant;
       auto client = Connect();
       if (!client.ok()) return;
       // Mix of inline (stats) and isolated (align) work per client.

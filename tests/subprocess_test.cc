@@ -4,13 +4,16 @@
 // failures.
 #include "common/subprocess.h"
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <unistd.h>
 
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -188,6 +191,49 @@ TEST(CountProcThreadsTest, SeesAtLeastTheMainThread) {
   auto threads = CountProcThreads();
   ASSERT_TRUE(threads.ok()) << threads.status().ToString();
   EXPECT_GE(*threads, 1);
+}
+
+TEST(ForkAuditTest, UnregisteredThreadMakesRunIsolatedRefuse) {
+  std::promise<void> release;
+  std::thread foreign([done = release.get_future()] { done.wait(); });
+  auto refused = RunIsolated([](int) { return 0; });
+  release.set_value();
+  foreign.join();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Regression: threads started and joined while RunIsolated audits must never
+// make it refuse. Registering at the spawn site keeps the registry ahead of
+// the kernel when a thread starts; counting only threads that have not begun
+// to exit covers the moment after join() returns, while /proc/self/status
+// still counts the joined thread.
+TEST(ForkAuditTest, ThreadChurnNeverTripsTheAudit) {
+  const int baseline = ForkTolerantThreadsRegistered();
+  std::atomic<bool> stop{false};
+  std::atomic<int> churned{0};
+  ForkTolerantThread churner([&stop, &churned] {
+    while (!stop.load()) {
+      ForkTolerantThread t([] {});
+      t.join();
+      churned.fetch_add(1);
+    }
+  });
+  Status failure;
+  for (int i = 0; i < 200 && failure.ok(); ++i) {
+    auto run = RunIsolated([](int) { return 0; });
+    if (!run.ok()) {
+      failure = run.status();
+    } else if (run->status != RunStatus::kOk) {
+      failure = Status::Internal(std::string("child ended ") +
+                                 RunStatusName(run->status));
+    }
+  }
+  stop.store(true);
+  churner.join();
+  EXPECT_TRUE(failure.ok()) << failure.ToString();
+  EXPECT_GT(churned.load(), 0);
+  EXPECT_EQ(ForkTolerantThreadsRegistered(), baseline);
 }
 
 }  // namespace
