@@ -5,6 +5,8 @@
 #include <limits>
 
 #include "common/failpoint.h"
+#include "common/parallel.h"
+#include "linalg/row_kernels.h"
 
 namespace graphalign {
 
@@ -16,6 +18,16 @@ std::vector<double> UniformMarginal(int n) {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// Flops below which a ParallelFor dispatch costs more than it saves; one
+// exp() counts as kExpFlops.
+constexpr int64_t kParallelFlops = 1 << 17;
+constexpr int64_t kExpFlops = 20;
+
+// ParallelFor's min_work for items of `flops_per_item` each.
+int64_t MinItems(int64_t flops_per_item) {
+  return std::max<int64_t>(2, kParallelFlops / (flops_per_item + 1));
+}
 
 // log(sum_j exp(x_j)) over the finite entries of x; kNegInf when all entries
 // are kNegInf (an empty row/column of the kernel).
@@ -156,27 +168,34 @@ Result<DenseMatrix> SinkhornProject(const DenseMatrix& kernel,
   }
   std::vector<double> a(n, 1.0);
   std::vector<double> b(m, 1.0);
-  std::vector<double> kb(n), ka(m);
+  std::vector<double> ka(m);
   constexpr double kTiny = 1e-300;
+  const size_t stride = static_cast<size_t>(m);
 
   DeadlineChecker checker(deadline, /*stride=*/8);
   for (int iter = 0; iter < max_iters; ++iter) {
     GA_RETURN_IF_EXPIRED(checker, "SinkhornProject");
-    // a = mu / (K b)
-    for (int i = 0; i < n; ++i) {
-      double s = 0.0;
-      const double* krow = kernel.Row(i);
-      for (int j = 0; j < m; ++j) s += krow[j] * b[j];
-      kb[i] = s;
-      a[i] = mu[i] / std::max(s, kTiny);
-    }
-    // b = nu / (K^T a)
-    std::fill(ka.begin(), ka.end(), 0.0);
-    for (int i = 0; i < n; ++i) {
-      const double* krow = kernel.Row(i);
-      const double ai = a[i];
-      for (int j = 0; j < m; ++j) ka[j] += krow[j] * ai;
-    }
+    // a = mu / (K b), row-parallel; each row sums in j order.
+    ParallelFor(
+        n,
+        [&](int64_t lo, int64_t hi) {
+          row_kernels::RowDots(kernel.Row(static_cast<int>(lo)), stride,
+                               b.data(), m, static_cast<int>(hi - lo),
+                               a.data() + lo);
+          for (int64_t i = lo; i < hi; ++i) {
+            a[i] = mu[i] / std::max(a[i], kTiny);
+          }
+        },
+        MinItems(2 * static_cast<int64_t>(m)));
+    // K^T a over column blocks; each block sums the rows in i order.
+    ParallelFor(
+        m,
+        [&](int64_t lo, int64_t hi) {
+          row_kernels::ColumnSums(kernel.Row(0) + lo, stride, a.data(), n,
+                                  ka.data() + lo, static_cast<int>(hi - lo));
+        },
+        MinItems(2 * static_cast<int64_t>(n)));
+    // b = nu / (K^T a); the marginal error sums in j order.
     double err = 0.0;
     for (int j = 0; j < m; ++j) {
       err += std::fabs(ka[j] * b[j] - nu[j]);
@@ -186,15 +205,24 @@ Result<DenseMatrix> SinkhornProject(const DenseMatrix& kernel,
   }
 
   DenseMatrix t(n, m);
-  bool finite = true;
-  for (int i = 0; i < n; ++i) {
-    const double* krow = kernel.Row(i);
-    double* trow = t.Row(i);
-    for (int j = 0; j < m; ++j) {
-      trow[j] = a[i] * krow[j] * b[j];
-      finite = finite && std::isfinite(trow[j]);
-    }
-  }
+  std::vector<unsigned char> row_finite(n, 1);
+  ParallelFor(
+      n,
+      [&](int64_t lo, int64_t hi) {
+        for (int i = static_cast<int>(lo); i < hi; ++i) {
+          const double* krow = kernel.Row(i);
+          double* trow = t.Row(i);
+          bool finite = true;
+          for (int j = 0; j < m; ++j) {
+            trow[j] = a[i] * krow[j] * b[j];
+            finite = finite && std::isfinite(trow[j]);
+          }
+          row_finite[i] = finite;
+        }
+      },
+      MinItems(2 * static_cast<int64_t>(m)));
+  const bool finite =
+      std::find(row_finite.begin(), row_finite.end(), 0) == row_finite.end();
   if (!finite) {
     // Scaling factors overflowed (a*K*b hit inf*0 or similar): redo the
     // projection in the log domain rather than returning poisoned mass.
@@ -223,13 +251,18 @@ Result<DenseMatrix> SinkhornTransport(const DenseMatrix& cost,
     for (int j = 0; j < m; ++j) cmin = std::min(cmin, cost(i, j));
   }
   DenseMatrix kernel(n, m);
-  for (int i = 0; i < n; ++i) {
-    const double* crow = cost.Row(i);
-    double* krow = kernel.Row(i);
-    for (int j = 0; j < m; ++j) {
-      krow[j] = std::exp(-(crow[j] - cmin) / options.epsilon);
-    }
-  }
+  ParallelFor(
+      n,
+      [&](int64_t lo, int64_t hi) {
+        for (int i = static_cast<int>(lo); i < hi; ++i) {
+          const double* crow = cost.Row(i);
+          double* krow = kernel.Row(i);
+          for (int j = 0; j < m; ++j) {
+            krow[j] = std::exp(-(crow[j] - cmin) / options.epsilon);
+          }
+        }
+      },
+      MinItems(kExpFlops * static_cast<int64_t>(m)));
   return SinkhornProject(kernel, mu, nu, options.max_iters, options.tolerance,
                          deadline);
 }

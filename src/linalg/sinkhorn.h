@@ -42,6 +42,15 @@ Result<DenseMatrix> SinkhornTransport(const DenseMatrix& cost,
 // Negative kernel entries are still InvalidArgument — they are a caller bug,
 // not an underflow. Arming the `linalg.sinkhorn.strict` failpoint restores
 // the historical hard rejection of non-finite kernels (for tests).
+//
+// Parallelism. Each scaling iteration runs `a = mu / (K b)` row-parallel
+// (every row sums in column order) and `K^T a` over column blocks (every
+// block sums the rows in row order), both on the ParallelFor pool through the
+// vectorized kernels of linalg/row_kernels.h; the marginal-error sum and the
+// `b` update stay serial, in column order. The plan assembly is row-parallel,
+// and SinkhornTransport builds its Gibbs kernel row-parallel. The input
+// checks and the log-domain fallback are serial. The returned plan is
+// bit-identical to the sequential loop at every GRAPHALIGN_THREADS value.
 Result<DenseMatrix> SinkhornProject(const DenseMatrix& kernel,
                                     const std::vector<double>& mu,
                                     const std::vector<double>& nu,

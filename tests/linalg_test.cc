@@ -1,9 +1,15 @@
+#include <chrono>
 #include <cmath>
+#include <cstring>
+#include <numbers>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/deadline.h"
+#include "common/failpoint.h"
 #include "common/random.h"
+#include "eigen_inputs.h"
 #include "linalg/csr.h"
 #include "linalg/dense.h"
 #include "linalg/eigen_sym.h"
@@ -223,6 +229,117 @@ TEST(SymmetricEigenTest, ReconstructsRandomSymmetricMatrix) {
 
 TEST(SymmetricEigenTest, RejectsNonSquare) {
   EXPECT_FALSE(SymmetricEigen(DenseMatrix(2, 3)).ok());
+}
+
+// max_i sum_j |a(i, j)|.
+double InfNorm(const DenseMatrix& a) {
+  double norm = 0.0;
+  for (int i = 0; i < a.rows(); ++i) {
+    double row = 0.0;
+    for (int j = 0; j < a.cols(); ++j) row += std::fabs(a(i, j));
+    norm = std::max(norm, row);
+  }
+  return norm;
+}
+
+TEST(SymmetricEigenOracleTest, DegenerateInputsPassResidualChecks) {
+  for (const NamedMatrix& input : DegenerateEigenInputs()) {
+    SCOPED_TRACE(input.name);
+    const DenseMatrix& a = input.a;
+    const int n = a.rows();
+    auto res = SymmetricEigen(a);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    const DenseMatrix& v = res->eigenvectors;
+    ASSERT_EQ(v.rows(), n);
+    ASSERT_EQ(v.cols(), n);
+    for (int j = 1; j < n; ++j) {
+      EXPECT_LE(res->eigenvalues[j - 1], res->eigenvalues[j]);
+    }
+    // ||A v - lambda v||_inf <= 1e-10 ||A||_inf for every pair.
+    const double tol = 1e-10 * std::max(1.0, InfNorm(a));
+    const DenseMatrix av = Multiply(a, v);
+    double residual = 0.0;
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        residual = std::max(
+            residual, std::fabs(av(i, j) - res->eigenvalues[j] * v(i, j)));
+      }
+    }
+    EXPECT_LE(residual, tol);
+    // ||V^T V - I||_inf <= 1e-10.
+    const DenseMatrix gram = MultiplyAtB(v, v);
+    double ortho = 0.0;
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        ortho = std::max(ortho, std::fabs(gram(i, j) - (i == j ? 1.0 : 0.0)));
+      }
+    }
+    EXPECT_LE(ortho, 1e-10);
+  }
+}
+
+TEST(SymmetricEigenOracleTest, DegenerateSpectraAreExact) {
+  for (const NamedMatrix& input : DegenerateEigenInputs()) {
+    SCOPED_TRACE(input.name);
+    auto res = SymmetricEigen(input.a);
+    ASSERT_TRUE(res.ok());
+    const std::vector<double>& ev = res->eigenvalues;
+    const int n = static_cast<int>(ev.size());
+    if (input.name == "complete33") {
+      // K_n: 0 once, n / (n - 1) with multiplicity n - 1.
+      EXPECT_NEAR(ev[0], 0.0, 1e-12);
+      for (int j = 1; j < n; ++j) EXPECT_NEAR(ev[j], 33.0 / 32.0, 1e-12);
+    } else if (input.name == "disconnected_isolated") {
+      // Two components plus an isolated node: 0 three times.
+      for (int j = 0; j < 3; ++j) EXPECT_NEAR(ev[j], 0.0, 1e-12);
+      EXPECT_GT(ev[3], 1e-6);
+    } else if (input.name == "path64") {
+      // Path P_n: 1 - cos(pi k / (n - 1)), k = 0..n-1.
+      for (int k = 0; k < n; ++k) {
+        const double expected = 1.0 - std::cos(std::numbers::pi * k / (n - 1));
+        EXPECT_NEAR(ev[k], expected, 1e-12);
+      }
+    }
+  }
+}
+
+TEST(SymmetricEigenOracleTest, DeadlineDuringQlSweepsIsDeadlineExceeded) {
+  // Tred2 takes under half of a run, so deadlines at 55-95% of an unbounded
+  // run expire during the QL sweeps, at a poll where rotations are still
+  // buffered and not yet applied. Every run must either stop with
+  // kDeadlineExceeded or finish with the unbounded answer; where the clock
+  // lands depends on the machine, so no particular outcome is asserted.
+  Rng rng(400);
+  const DenseMatrix lap =
+      ErdosRenyi(400, 10.0 / 399, &rng).value().NormalizedLaplacianDense();
+  const auto start = std::chrono::steady_clock::now();
+  auto full = SymmetricEigen(lap);
+  const double full_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  ASSERT_TRUE(full.ok());
+  for (double fraction : {0.55, 0.65, 0.75, 0.85, 0.95}) {
+    SCOPED_TRACE(fraction);
+    auto res = SymmetricEigen(lap, Deadline::AfterSeconds(fraction * full_s));
+    if (res.ok()) {
+      EXPECT_EQ(std::memcmp(res->eigenvectors.data(),
+                            full->eigenvectors.data(),
+                            full->eigenvectors.size() * sizeof(double)),
+                0);
+    } else {
+      EXPECT_EQ(res.status().code(), StatusCode::kDeadlineExceeded)
+          << res.status().ToString();
+    }
+  }
+}
+
+TEST(SymmetricEigenOracleTest, NoConvergeFailpointStillFires) {
+  const DenseMatrix lap = DegenerateEigenInputs()[0].a;
+  ASSERT_TRUE(ActivateFailpoint("linalg.eigen.no-converge", "error").ok());
+  auto failed = SymmetricEigen(lap);
+  DeactivateFailpoint("linalg.eigen.no-converge");
+  EXPECT_EQ(failed.status().code(), StatusCode::kNumerical);
+  EXPECT_TRUE(SymmetricEigen(lap).ok());
 }
 
 TEST(LanczosTest, MatchesDenseOnRandomMatrix) {

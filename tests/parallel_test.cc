@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -7,8 +10,11 @@
 
 #include "common/parallel.h"
 #include "common/random.h"
+#include "eigen_inputs.h"
 #include "linalg/csr.h"
 #include "linalg/dense.h"
+#include "linalg/eigen_sym.h"
+#include "linalg/sinkhorn.h"
 
 namespace graphalign {
 namespace {
@@ -110,6 +116,252 @@ TEST(ParallelForTest, DeeplyNestedCallsStillCoverEverything) {
     }
   }, 1);
   EXPECT_EQ(count.load(), 8 * 8 * 8);
+}
+
+// The textbook sequential EISPACK tred2/tql2 (column-major walks, rotations
+// applied as they are generated) and eigenpair sort, kept verbatim as the
+// bit-exact oracle for the blocked, row-parallel SymmetricEigen.
+void ReferenceTred2(DenseMatrix* a_io, std::vector<double>* d_out,
+                    std::vector<double>* e_out) {
+  DenseMatrix& a = *a_io;
+  const int n = a.rows();
+  std::vector<double>& d = *d_out;
+  std::vector<double>& e = *e_out;
+  d.assign(n, 0.0);
+  e.assign(n, 0.0);
+  for (int i = n - 1; i >= 1; --i) {
+    const int l = i - 1;
+    double h = 0.0;
+    double scale = 0.0;
+    if (l > 0) {
+      for (int k = 0; k <= l; ++k) scale += std::fabs(a(i, k));
+      if (scale == 0.0) {
+        e[i] = a(i, l);
+      } else {
+        for (int k = 0; k <= l; ++k) {
+          a(i, k) /= scale;
+          h += a(i, k) * a(i, k);
+        }
+        double f = a(i, l);
+        double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
+        e[i] = scale * g;
+        h -= f * g;
+        a(i, l) = f - g;
+        f = 0.0;
+        for (int j = 0; j <= l; ++j) {
+          a(j, i) = a(i, j) / h;
+          g = 0.0;
+          for (int k = 0; k <= j; ++k) g += a(j, k) * a(i, k);
+          for (int k = j + 1; k <= l; ++k) g += a(k, j) * a(i, k);
+          e[j] = g / h;
+          f += e[j] * a(i, j);
+        }
+        const double hh = f / (h + h);
+        for (int j = 0; j <= l; ++j) {
+          f = a(i, j);
+          e[j] = g = e[j] - hh * f;
+          for (int k = 0; k <= j; ++k) {
+            a(j, k) -= f * e[k] + g * a(i, k);
+          }
+        }
+      }
+    } else {
+      e[i] = a(i, l);
+    }
+    d[i] = h;
+  }
+  d[0] = 0.0;
+  e[0] = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const int l = i - 1;
+    if (d[i] != 0.0) {
+      for (int j = 0; j <= l; ++j) {
+        double g = 0.0;
+        for (int k = 0; k <= l; ++k) g += a(i, k) * a(k, j);
+        for (int k = 0; k <= l; ++k) a(k, j) -= g * a(k, i);
+      }
+    }
+    d[i] = a(i, i);
+    a(i, i) = 1.0;
+    for (int j = 0; j <= l; ++j) a(j, i) = a(i, j) = 0.0;
+  }
+}
+
+bool ReferenceTql2(std::vector<double>* d_io, std::vector<double>* e_io,
+                   DenseMatrix* z_io) {
+  std::vector<double>& d = *d_io;
+  std::vector<double>& e = *e_io;
+  DenseMatrix& z = *z_io;
+  const int n = static_cast<int>(d.size());
+  for (int i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+  for (int l = 0; l < n; ++l) {
+    int iter = 0;
+    int m;
+    do {
+      for (m = l; m < n - 1; ++m) {
+        const double dd = std::fabs(d[m]) + std::fabs(d[m + 1]);
+        if (std::fabs(e[m]) <= 1e-14 * dd) break;
+      }
+      if (m != l) {
+        if (iter++ == 100) return false;
+        double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+        double r = std::hypot(g, 1.0);
+        g = d[m] - d[l] + e[l] / (g + (g >= 0.0 ? std::fabs(r) : -std::fabs(r)));
+        double s = 1.0;
+        double c = 1.0;
+        double p = 0.0;
+        int i;
+        for (i = m - 1; i >= l; --i) {
+          double f = s * e[i];
+          const double b = c * e[i];
+          r = std::hypot(f, g);
+          e[i + 1] = r;
+          if (r == 0.0) {
+            d[i + 1] -= p;
+            e[m] = 0.0;
+            break;
+          }
+          s = f / r;
+          c = g / r;
+          g = d[i + 1] - p;
+          r = (d[i] - g) * s + 2.0 * c * b;
+          p = s * r;
+          d[i + 1] = g + p;
+          g = c * r - b;
+          for (int k = 0; k < n; ++k) {
+            f = z(k, i + 1);
+            z(k, i + 1) = s * z(k, i) + c * f;
+            z(k, i) = c * z(k, i) - s * f;
+          }
+        }
+        if (r == 0.0 && i >= l) continue;
+        d[l] -= p;
+        e[l] = g;
+        e[m] = 0.0;
+      }
+    } while (m != l);
+  }
+  return true;
+}
+
+SymmetricEigenResult ReferenceSymmetricEigen(DenseMatrix a) {
+  const int n = a.rows();
+  std::vector<double> d;
+  std::vector<double> e;
+  ReferenceTred2(&a, &d, &e);
+  EXPECT_TRUE(ReferenceTql2(&d, &e, &a));
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](int x, int y) { return d[x] < d[y]; });
+  SymmetricEigenResult res{std::vector<double>(n), DenseMatrix(n, n)};
+  for (int j = 0; j < n; ++j) {
+    res.eigenvalues[j] = d[order[j]];
+    for (int r = 0; r < n; ++r) res.eigenvectors(r, j) = a(r, order[j]);
+  }
+  return res;
+}
+
+// The sequential Sinkhorn scaling loop and plan assembly (no log-domain
+// fallback: the inputs below never trigger it).
+DenseMatrix ReferenceSinkhornProject(const DenseMatrix& kernel,
+                                     const std::vector<double>& mu,
+                                     const std::vector<double>& nu,
+                                     int max_iters, double tolerance) {
+  const int n = kernel.rows();
+  const int m = kernel.cols();
+  std::vector<double> a(n, 1.0), b(m, 1.0), ka(m);
+  constexpr double kTiny = 1e-300;
+  for (int iter = 0; iter < max_iters; ++iter) {
+    for (int i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (int j = 0; j < m; ++j) s += kernel(i, j) * b[j];
+      a[i] = mu[i] / std::max(s, kTiny);
+    }
+    std::fill(ka.begin(), ka.end(), 0.0);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < m; ++j) ka[j] += kernel(i, j) * a[i];
+    }
+    double err = 0.0;
+    for (int j = 0; j < m; ++j) {
+      err += std::fabs(ka[j] * b[j] - nu[j]);
+      b[j] = nu[j] / std::max(ka[j], kTiny);
+    }
+    if (err < tolerance) break;
+  }
+  DenseMatrix t(n, m);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) t(i, j) = a[i] * kernel(i, j) * b[j];
+  }
+  return t;
+}
+
+bool SameBits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+bool SameBits(const DenseMatrix& x, const DenseMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+TEST(ParallelKernelsTest, SymmetricEigenMatchesSequentialReference) {
+  std::vector<NamedMatrix> inputs = DegenerateEigenInputs();
+  // Only the lower triangle is read: junk above the diagonal must not leak.
+  DenseMatrix lower = RandomSymmetric(70, 7);
+  Rng rng(8);
+  for (int i = 0; i < 70; ++i) {
+    for (int j = i + 1; j < 70; ++j) lower(i, j) = rng.Normal();
+  }
+  inputs.push_back({"lower_triangle_only", lower});
+  // Large enough that tred2's last columns run on the pool as well.
+  inputs.push_back({"er520", ErdosRenyi(520, 10.0 / 519, &rng)
+                                 .value()
+                                 .NormalizedLaplacianDense()});
+  for (const NamedMatrix& input : inputs) {
+    SCOPED_TRACE(input.name);
+    auto res = SymmetricEigen(input.a);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    const SymmetricEigenResult ref = ReferenceSymmetricEigen(input.a);
+    EXPECT_TRUE(SameBits(res->eigenvalues, ref.eigenvalues));
+    EXPECT_TRUE(SameBits(res->eigenvectors, ref.eigenvectors));
+  }
+}
+
+TEST(ParallelKernelsTest, SinkhornMatchesSequentialReference) {
+  const int n = 257, m = 300;
+  const DenseMatrix cost = ConeShapedCost(n, m, /*dim=*/8, /*seed=*/11);
+  const std::vector<double> mu = UniformMarginal(n);
+  const std::vector<double> nu = UniformMarginal(m);
+  SinkhornOptions opts;
+  opts.epsilon = 0.05;
+  auto t = SinkhornTransport(cost, mu, nu, opts);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+
+  double cmin = cost(0, 0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) cmin = std::min(cmin, cost(i, j));
+  }
+  DenseMatrix kernel(n, m);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) {
+      kernel(i, j) = std::exp(-(cost(i, j) - cmin) / opts.epsilon);
+    }
+  }
+  EXPECT_TRUE(SameBits(*t, ReferenceSinkhornProject(kernel, mu, nu,
+                                                    opts.max_iters,
+                                                    opts.tolerance)));
+
+  // A loose tolerance stops early; the early exit must match as well.
+  bool log_fallback = true;
+  auto early = SinkhornProject(kernel, mu, nu, 200, 1e-2, Deadline(),
+                               &log_fallback);
+  ASSERT_TRUE(early.ok());
+  EXPECT_FALSE(log_fallback);
+  EXPECT_TRUE(SameBits(*early,
+                       ReferenceSinkhornProject(kernel, mu, nu, 200, 1e-2)));
 }
 
 TEST(ParallelKernelsTest, GemmMatchesSequentialReference) {

@@ -5,7 +5,9 @@
 # the test matrix (DESIGN.md §13), not just the release build. The protocol
 # fuzz suite rides along: randomized/truncated/bit-flipped frames into the
 # wire decoders are exactly the inputs where ASan turns a silent overread
-# into a hard failure.
+# into a hard failure. The linalg and parallel-kernel suites ride along too:
+# the blocked tred2/tql2 and Sinkhorn kernels (linalg/row_kernels.h) walk
+# raw __restrict row pointers with fixed-width chunks and tails.
 #
 # Usage: tools/run_sanitize.sh [source-dir]
 # Exits 77 (the ctest SKIP_RETURN_CODE) when the toolchain cannot produce an
@@ -26,9 +28,9 @@ fi
 
 cmake -S "$SRC" -B "$BUILD" -DGRAPHALIGN_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-# Only the sparse suite, the protocol fuzz suite, and their dependency
-# closure — not the whole tree.
-cmake --build "$BUILD" --target sparse_test protocol_fuzz_test -j > /dev/null
+# Only these suites and their dependency closure — not the whole tree.
+cmake --build "$BUILD" --target sparse_test protocol_fuzz_test linalg_test \
+  parallel_test -j > /dev/null
 
 # halt_on_error keeps the failure visible to ctest; detect_leaks stays on so
 # candidate buffers and solver scratch are leak-checked too.
@@ -36,3 +38,6 @@ ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/sparse_test"
 echo "sparse pipeline is clean under AddressSanitizer"
 ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/protocol_fuzz_test"
 echo "protocol decoders are clean under AddressSanitizer"
+ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/linalg_test"
+ASAN_OPTIONS=halt_on_error=1 GRAPHALIGN_THREADS=4 "$BUILD/tests/parallel_test"
+echo "dense linalg kernels are clean under AddressSanitizer"
