@@ -68,19 +68,6 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-  uint64_t GetSeed() const {
-    auto it = values_.find("seed");
-    return it == values_.end() ? 2023
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
 
  private:
   std::map<std::string, std::string> values_;
@@ -141,31 +128,85 @@ Status ApplyThreadsFlag(const Flags& flags) {
   return Status::Ok();
 }
 
+// Strict numeric flags: the whole value must parse and be in range
+// (common/parse.h, the same rules as the bench harness), so "--n 40x" or
+// "--time-limit 5s" is an error, never a silent truncation. An absent flag
+// yields its fallback.
+template <class T>
+Result<T> NumericFlag(const Flags& flags, const std::string& key, T fallback,
+                      Result<T> (*parse)(const std::string&),
+                      const char* kind) {
+  if (!flags.Has(key)) return fallback;
+  const std::string value = flags.GetString(key);
+  Result<T> v = parse(value);
+  if (!v.ok()) {
+    return Status::InvalidArgument("--" + key + " must be " + kind +
+                                   ", got '" + value + "'");
+  }
+  return v;
+}
+
+Result<int> StrictIntFlag(const Flags& flags, const std::string& key,
+                          int fallback) {
+  return NumericFlag(flags, key, fallback, ParseStrictPositiveInt,
+                     "a positive integer");
+}
+
+Result<double> StrictDoubleFlag(const Flags& flags, const std::string& key,
+                                double fallback) {
+  return NumericFlag(flags, key, fallback, ParseStrictPositiveDouble,
+                     "a positive number");
+}
+
+// Generator and noise parameters, where zero is a legal value.
+Result<int> CountFlag(const Flags& flags, const std::string& key,
+                      int fallback) {
+  return NumericFlag(flags, key, fallback, ParseStrictNonNegativeInt,
+                     "a non-negative integer");
+}
+
+Result<double> LevelFlag(const Flags& flags, const std::string& key,
+                         double fallback) {
+  return NumericFlag(flags, key, fallback, ParseStrictNonNegativeDouble,
+                     "a non-negative number");
+}
+
+Result<uint64_t> SeedFlag(const Flags& flags) {
+  return NumericFlag(flags, "seed", uint64_t{2023}, ParseStrictUint64,
+                     "an unsigned integer");
+}
+
+// The graph `generate` asks for. Every numeric model flag is parsed, even
+// one the chosen model ignores.
+Result<Graph> GenerateGraph(const Flags& flags, const std::string& model,
+                            int n) {
+  GA_ASSIGN_OR_RETURN(const uint64_t seed, SeedFlag(flags));
+  GA_ASSIGN_OR_RETURN(const double p,
+                      LevelFlag(flags, "p", model == "er" ? 0.01 : 0.5));
+  GA_ASSIGN_OR_RETURN(const int m, CountFlag(flags, "m", 3));
+  GA_ASSIGN_OR_RETURN(const int k,
+                      CountFlag(flags, "k", model == "ws" ? 10 : 6));
+  GA_ASSIGN_OR_RETURN(const double radius, LevelFlag(flags, "radius", 0.05));
+  Rng rng(seed);
+  if (model == "er") return ErdosRenyi(n, p, &rng);
+  if (model == "ba") return BarabasiAlbert(n, m, &rng);
+  if (model == "ws") return WattsStrogatz(n, k, p, &rng);
+  if (model == "nw") return NewmanWatts(n, k, p, &rng);
+  if (model == "pl") return PowerlawCluster(n, m, p, &rng);
+  if (model == "geometric") return RandomGeometric(n, radius, &rng);
+  return Status::InvalidArgument("unknown model: " + model);
+}
+
 int CmdGenerate(const Flags& flags, std::ostream& out, std::ostream& err) {
   const std::string model = flags.GetString("model");
-  const int n = flags.GetInt("n", 0);
+  auto n = StrictIntFlag(flags, "n", 0);
+  if (!n.ok()) return Fail(err, n.status());
   const std::string path = flags.GetString("out");
-  if (model.empty() || n <= 0 || path.empty()) {
+  if (model.empty() || *n <= 0 || path.empty()) {
     return Fail(err, Status::InvalidArgument(
                          "generate requires --model, --n and --out"));
   }
-  Rng rng(flags.GetSeed());
-  Result<Graph> g = Status::InvalidArgument("unknown model: " + model);
-  if (model == "er") {
-    g = ErdosRenyi(n, flags.GetDouble("p", 0.01), &rng);
-  } else if (model == "ba") {
-    g = BarabasiAlbert(n, flags.GetInt("m", 3), &rng);
-  } else if (model == "ws") {
-    g = WattsStrogatz(n, flags.GetInt("k", 10), flags.GetDouble("p", 0.5),
-                      &rng);
-  } else if (model == "nw") {
-    g = NewmanWatts(n, flags.GetInt("k", 6), flags.GetDouble("p", 0.5), &rng);
-  } else if (model == "pl") {
-    g = PowerlawCluster(n, flags.GetInt("m", 3), flags.GetDouble("p", 0.5),
-                        &rng);
-  } else if (model == "geometric") {
-    g = RandomGeometric(n, flags.GetDouble("radius", 0.05), &rng);
-  }
+  Result<Graph> g = GenerateGraph(flags, model, *n);
   if (!g.ok()) return Fail(err, g.status());
   Status s = WriteEdgeList(*g, path);
   if (!s.ok()) return Fail(err, s);
@@ -194,9 +235,13 @@ int CmdPerturb(const Flags& flags, std::ostream& out, std::ostream& err) {
   } else {
     return Fail(err, Status::InvalidArgument("unknown noise type: " + type));
   }
-  noise.level = flags.GetDouble("level", 0.05);
+  auto level = LevelFlag(flags, "level", 0.05);
+  if (!level.ok()) return Fail(err, level.status());
+  noise.level = *level;
   noise.permute = !flags.Has("no-permute");
-  Rng rng(flags.GetSeed());
+  auto seed = SeedFlag(flags);
+  if (!seed.ok()) return Fail(err, seed.status());
+  Rng rng(*seed);
   auto problem = MakeAlignmentProblem(*g, noise, &rng);
   if (!problem.ok()) return Fail(err, problem.status());
   // Two-way noise also changes g1; warn when we silently keep the original.
@@ -219,32 +264,6 @@ int CmdPerturb(const Flags& flags, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-// Strict flag parsing shared by align/serve/submit: positive whole-string
-// values, same rules as the bench harness (ParseBenchArgs).
-Result<int> StrictIntFlag(const Flags& flags, const std::string& key,
-                          int fallback) {
-  if (!flags.Has(key)) return fallback;
-  auto v = ParseStrictPositiveInt(flags.GetString(key));
-  if (!v.ok()) {
-    return Status::InvalidArgument("--" + key +
-                                   " must be a positive integer, got '" +
-                                   flags.GetString(key) + "'");
-  }
-  return *v;
-}
-
-Result<double> StrictDoubleFlag(const Flags& flags, const std::string& key,
-                                double fallback) {
-  if (!flags.Has(key)) return fallback;
-  auto v = ParseStrictPositiveDouble(flags.GetString(key));
-  if (!v.ok()) {
-    return Status::InvalidArgument("--" + key +
-                                   " must be a positive number, got '" +
-                                   flags.GetString(key) + "'");
-  }
-  return *v;
-}
-
 int CmdAlignInner(const Flags& flags, std::ostream& out, std::ostream& err) {
   const std::string g1_path = flags.GetString("g1");
   const std::string g2_path = flags.GetString("g2");
@@ -264,13 +283,9 @@ int CmdAlignInner(const Flags& flags, std::ostream& out, std::ostream& err) {
   // (similarity + assignment). The run aborts with DNF soon after expiry.
   Deadline deadline;  // Infinite unless --time-limit is given.
   if (flags.Has("time-limit")) {
-    const double limit = flags.GetDouble("time-limit", 0.0);
-    if (limit <= 0.0) {
-      return Fail(err, Status::InvalidArgument(
-                           "--time-limit must be a positive number of "
-                           "seconds"));
-    }
-    deadline = Deadline::AfterSeconds(limit);
+    auto limit = StrictDoubleFlag(flags, "time-limit", 0.0);
+    if (!limit.ok()) return Fail(err, limit.status());
+    deadline = Deadline::AfterSeconds(*limit);
   }
 
   // --sparse: LSH candidate generation + candidate-only scoring + sparse
@@ -399,24 +414,16 @@ int CmdAlign(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   SubprocessOptions options;
   if (flags.Has("mem-limit")) {
-    const double mb = flags.GetDouble("mem-limit", 0.0);
-    if (mb <= 0.0) {
-      return Fail(err, Status::InvalidArgument(
-                           "--mem-limit must be a positive number of "
-                           "megabytes"));
-    }
-    options.mem_limit_bytes = static_cast<int64_t>(mb * 1024.0 * 1024.0);
+    auto mb = StrictDoubleFlag(flags, "mem-limit", 0.0);
+    if (!mb.ok()) return Fail(err, mb.status());
+    options.mem_limit_bytes = static_cast<int64_t>(*mb * 1024.0 * 1024.0);
   }
   if (flags.Has("time-limit")) {
-    const double limit = flags.GetDouble("time-limit", 0.0);
-    if (limit <= 0.0) {
-      return Fail(err, Status::InvalidArgument(
-                           "--time-limit must be a positive number of "
-                           "seconds"));
-    }
+    auto limit = StrictDoubleFlag(flags, "time-limit", 0.0);
+    if (!limit.ok()) return Fail(err, limit.status());
     // The cooperative deadline inside the child remains the primary limit;
     // the hard kill is a backstop for non-cooperative hangs.
-    options.wall_limit_seconds = 2.0 * limit + 30.0;
+    options.wall_limit_seconds = 2.0 * *limit + 30.0;
   }
   auto result = RunIsolated(
       [&](int) {
@@ -1161,8 +1168,11 @@ int CmdStoreImport(GraphStore& store, const Flags& flags, std::ostream& out,
   if (flags.Has("in")) {
     g = ReadEdgeList(flags.GetString("in"));
   } else if (flags.Has("dataset")) {
-    g = MakeStandIn(flags.GetString("dataset"), flags.GetSeed(),
-                    flags.GetDouble("scale", 1.0));
+    auto seed = SeedFlag(flags);
+    if (!seed.ok()) return Fail(err, seed.status());
+    auto scale = LevelFlag(flags, "scale", 1.0);
+    if (!scale.ok()) return Fail(err, scale.status());
+    g = MakeStandIn(flags.GetString("dataset"), *seed, *scale);
   }
   if (!g.ok()) return Fail(err, g.status());
   bool already = false;

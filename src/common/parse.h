@@ -25,6 +25,11 @@ Result<int> ParseStrictPositiveInt(const std::string& text);
 // trailing junk, overflow, inf/nan, zero, and negatives.
 Result<double> ParseStrictPositiveDouble(const std::string& text);
 
+// As above, but zero is allowed too: [0, INT_MAX] and finite doubles >= 0,
+// for counts and levels where zero is meaningful ("--k 0", "--level 0").
+Result<int> ParseStrictNonNegativeInt(const std::string& text);
+Result<double> ParseStrictNonNegativeDouble(const std::string& text);
+
 // Whole-string unsigned 64-bit integer (zero allowed); rejects empty input,
 // trailing junk, a leading '-', and overflow.
 Result<uint64_t> ParseStrictUint64(const std::string& text);

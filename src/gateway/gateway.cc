@@ -293,6 +293,39 @@ JsonValue JobInfoJson(const JobInfo& info) {
   return out;
 }
 
+// Walks the ServerStatsResult field list (server/protocol.h) into a JSON
+// object: every keyed field becomes a number member, and the keyed
+// worker_restarts sequence an array of its elements.
+class JsonStatsWriter {
+ public:
+  void U64(uint64_t& v, const char* key = nullptr) {
+    Put(key, static_cast<double>(v));
+  }
+  void F64(double& v, const char* key) { Put(key, v); }
+  template <class T, class Each>
+  void Seq32(std::vector<T>& v, uint32_t /*max_count*/, Each each,
+             const char* key) {
+    array_ = JsonValue::Array();
+    for (T& x : v) each(x);
+    object_.Set(key, std::move(array_));
+  }
+
+  JsonValue Take() { return std::move(object_); }
+
+ private:
+  // An unkeyed number is an element of the sequence being walked.
+  void Put(const char* key, double v) {
+    if (key == nullptr) {
+      array_.Push(JsonValue::Number(v));
+    } else {
+      object_.Set(key, JsonValue::Number(v));
+    }
+  }
+
+  JsonValue object_ = JsonValue::Object();
+  JsonValue array_;
+};
+
 }  // namespace
 
 Status BatchRequestFromJson(const JsonValue& body, Request* request) {
@@ -738,45 +771,9 @@ class Gateway::Impl {
       return Send(fd, HttpStatusForResponseCode(response->code), out.Dump(),
                   keep_alive);
     }
-    const ServerStatsResult& d = *decoded;
-    JsonValue daemon = JsonValue::Object();
-    auto num = [](uint64_t v) {
-      return JsonValue::Number(static_cast<double>(v));
-    };
-    daemon.Set("workers", num(d.workers));
-    daemon.Set("uptime_seconds", JsonValue::Number(d.uptime_seconds));
-    daemon.Set("accepted", num(d.accepted));
-    daemon.Set("served", num(d.served));
-    daemon.Set("served_http", num(d.served_http));
-    daemon.Set("busy_rejected", num(d.busy_rejected));
-    daemon.Set("quota_rejected", num(d.quota_rejected));
-    daemon.Set("quota_rejected_http", num(d.quota_rejected_http));
-    daemon.Set("shed", num(d.shed));
-    daemon.Set("shed_http", num(d.shed_http));
-    daemon.Set("quarantined", num(d.quarantined));
-    daemon.Set("quarantined_signatures", num(d.quarantined_signatures));
-    daemon.Set("watchdog_kills", num(d.watchdog_kills));
-    daemon.Set("queue_depth", num(d.queue_depth));
-    daemon.Set("in_flight", num(d.in_flight));
-    daemon.Set("batches", num(d.batches));
-    daemon.Set("batch_jobs", num(d.batch_jobs));
-    daemon.Set("batch_cache_hits", num(d.batch_cache_hits));
-    daemon.Set("batch_graph_loads", num(d.batch_graph_loads));
-    daemon.Set("jobs_submitted", num(d.jobs_submitted));
-    daemon.Set("jobs_deduped", num(d.jobs_deduped));
-    daemon.Set("jobs_done", num(d.jobs_done));
-    daemon.Set("jobs_failed", num(d.jobs_failed));
-    daemon.Set("jobs_cancelled", num(d.jobs_cancelled));
-    daemon.Set("jobs_executions", num(d.jobs_executions));
-    daemon.Set("jobs_recovered", num(d.jobs_recovered));
-    daemon.Set("jobs_pending", num(d.jobs_pending));
-    daemon.Set("cache_replayed", num(d.cache_replayed));
-    daemon.Set("store_puts", num(d.store_puts));
-    daemon.Set("store_gets", num(d.store_gets));
-    daemon.Set("store_corrupt", num(d.store_corrupt));
-    daemon.Set("store_missing", num(d.store_missing));
-    daemon.Set("store_unavailable", num(d.store_unavailable));
-    out.Set("daemon", std::move(daemon));
+    JsonStatsWriter daemon;
+    Fields(daemon, *decoded);
+    out.Set("daemon", daemon.Take());
     out.Set("status", JsonValue::Str("OK"));
     return Send(fd, 200, out.Dump(), keep_alive);
   }

@@ -20,6 +20,39 @@ constexpr uint8_t kEventState = 1;
 constexpr size_t kMaxIdemKeyLen = 256;
 constexpr size_t kMaxEventMessageLen = 4096;
 
+// The journal event layouts: the type byte and job id, then the JobRecord
+// fields that the event type carries. One list drives EncodeEvent and
+// ApplyEvent.
+template <class IO>
+void EventFields(IO& io, uint8_t& type, JobRecord& r) {
+  io.U8(type);
+  io.U64(r.job_id);
+  if (type == kEventSubmit) {
+    io.Str(r.idem_key, kMaxIdemKeyLen);
+    io.Str(r.spec_bytes, kMaxJournalPayload);
+    io.U64(r.submitted_unix_ms);
+    io.U32(r.max_attempts);
+  } else if (type == kEventState) {
+    io.Enum(r.state, JobState::kCancelled);
+    io.U32(r.attempts);
+    io.U64(r.updated_unix_ms);
+    io.U32(r.terminal_code);
+    io.Str(r.message, kMaxEventMessageLen);
+    // Result bytes travel only on the DONE transition: only CompleteDone
+    // sets them and DONE is absorbing, so every other state's event
+    // carries an empty blob.
+    io.Str(r.result_bytes, kMaxJournalPayload);
+  } else {
+    io.Fail("unknown journal event type");
+  }
+}
+
+std::string EncodeEvent(uint8_t type, const JobRecord& r) {
+  WireEncoder io;
+  EventFields(io, type, const_cast<JobRecord&>(r));  // Only read.
+  return io.Take();
+}
+
 uint64_t WallClockMs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -61,95 +94,44 @@ JobManager::JobManager(JobManagerOptions options)
 
 JobManager::~JobManager() { Stop(); }
 
-std::string JobManager::EncodeSubmitEvent(const JobRecord& r) const {
-  ByteWriter w;
-  w.U8(kEventSubmit);
-  w.U64(r.job_id);
-  w.Str(r.idem_key);
-  w.Str(r.spec_bytes);
-  w.U64(r.submitted_unix_ms);
-  w.U32(r.max_attempts);
-  return w.Take();
-}
-
-std::string JobManager::EncodeStateEvent(const JobRecord& r) const {
-  ByteWriter w;
-  w.U8(kEventState);
-  w.U64(r.job_id);
-  w.U32(static_cast<uint32_t>(r.state));
-  w.U32(r.attempts);
-  w.U64(r.updated_unix_ms);
-  w.U32(r.terminal_code);
-  w.Str(r.message);
-  // Result bytes travel only on the DONE transition; every other state
-  // writes an empty blob (and replay clears any stale result).
-  w.Str(r.state == JobState::kDone ? r.result_bytes : std::string_view());
-  return w.Take();
-}
-
 void JobManager::ApplyEvent(std::string_view payload) {
-  ByteReader r(payload);
   uint8_t type = 0;
-  if (!r.U8(&type)) {
+  JobRecord ev;
+  WireDecoder io(payload, "malformed journal event");
+  EventFields(io, type, ev);
+  io.End();
+  if (!io.ok()) {
     ++replay_bad_events_;
     return;
   }
   if (type == kEventSubmit) {
-    uint64_t job_id = 0, submitted_ms = 0;
-    uint32_t max_attempts = 0;
-    std::string idem_key, spec;
-    if (!r.U64(&job_id) || !r.Str(&idem_key, kMaxIdemKeyLen) ||
-        !r.Str(&spec, kMaxJournalPayload) || !r.U64(&submitted_ms) ||
-        !r.U32(&max_attempts) || !r.AtEnd() || job_id == 0) {
+    if (ev.job_id == 0) {
       ++replay_bad_events_;
       return;
     }
     // A submit for an existing id is a fresh cycle (resubmission after
     // FAILED/CANCELLED): the record resets exactly as the live path did.
-    JobRecord& rec = jobs_[job_id];
-    rec.job_id = job_id;
-    rec.idem_key = std::move(idem_key);
-    rec.spec_bytes = std::move(spec);
-    rec.state = JobState::kAccepted;
-    rec.attempts = 0;
-    rec.max_attempts = max_attempts == 0 ? 1 : max_attempts;
-    rec.submitted_unix_ms = submitted_ms;
-    rec.updated_unix_ms = submitted_ms;
-    rec.terminal_code = 0;
-    rec.message.clear();
-    rec.result_bytes.clear();
-    if (!rec.idem_key.empty()) idem_[rec.idem_key] = job_id;
+    JobRecord& rec = jobs_[ev.job_id];
+    rec = std::move(ev);
+    rec.max_attempts = std::max<uint32_t>(rec.max_attempts, 1);
+    rec.updated_unix_ms = rec.submitted_unix_ms;
+    if (!rec.idem_key.empty()) idem_[rec.idem_key] = rec.job_id;
     return;
   }
-  if (type == kEventState) {
-    uint64_t job_id = 0, ts_ms = 0;
-    uint32_t state = 0, attempts = 0, terminal_code = 0;
-    std::string message, result;
-    if (!r.U64(&job_id) || !r.U32(&state) || !r.U32(&attempts) ||
-        !r.U64(&ts_ms) || !r.U32(&terminal_code) ||
-        !r.Str(&message, kMaxEventMessageLen) ||
-        !r.Str(&result, kMaxJournalPayload) || !r.AtEnd() ||
-        state > static_cast<uint32_t>(JobState::kCancelled)) {
-      ++replay_bad_events_;
-      return;
-    }
-    auto it = jobs_.find(job_id);
-    if (it == jobs_.end()) {
-      // A state for a job whose submit record was lost (CRC-skipped): the
-      // spec is gone, so the job cannot be reconstructed. Count and move on.
-      ++replay_bad_events_;
-      return;
-    }
-    JobRecord& rec = it->second;
-    rec.state = static_cast<JobState>(state);
-    rec.attempts = attempts;
-    rec.updated_unix_ms = ts_ms;
-    rec.terminal_code = terminal_code;
-    rec.message = std::move(message);
-    rec.result_bytes = std::move(result);
+  auto it = jobs_.find(ev.job_id);
+  if (it == jobs_.end()) {
+    // A state for a job whose submit record was lost (CRC-skipped): the
+    // spec is gone, so the job cannot be reconstructed. Count and move on.
+    ++replay_bad_events_;
     return;
   }
-  ++replay_bad_events_;
+  JobRecord& rec = it->second;
+  rec.state = ev.state;
+  rec.attempts = ev.attempts;
+  rec.updated_unix_ms = ev.updated_unix_ms;
+  rec.terminal_code = ev.terminal_code;
+  rec.message = std::move(ev.message);
+  rec.result_bytes = std::move(ev.result_bytes);
 }
 
 Status JobManager::Journal(std::string_view event) {
@@ -158,7 +140,7 @@ Status JobManager::Journal(std::string_view event) {
 }
 
 Status JobManager::JournalState(const JobRecord& r) {
-  return Journal(EncodeStateEvent(r));
+  return Journal(EncodeEvent(kEventState, r));
 }
 
 Result<std::unique_ptr<JobManager>> JobManager::Open(
@@ -245,7 +227,7 @@ Result<JobManager::SubmitOutcome> JobManager::Submit(
   rec.updated_unix_ms = now_ms;
   // Durability IS the contract: a job that cannot be journaled is refused
   // outright (kUnavailable), never half-accepted into memory only.
-  GA_RETURN_IF_ERROR(Journal(EncodeSubmitEvent(rec)));
+  GA_RETURN_IF_ERROR(Journal(EncodeEvent(kEventSubmit, rec)));
   JobRecord& stored = jobs_[job_id];
   stored = std::move(rec);
   if (!idem_key.empty()) idem_[idem_key] = job_id;
@@ -442,9 +424,9 @@ Status JobManager::Gc(uint64_t now_ms) {
   std::vector<std::string> live;
   live.reserve(jobs_.size() * 2);
   for (const auto& [id, rec] : jobs_) {
-    live.push_back(EncodeSubmitEvent(rec));
+    live.push_back(EncodeEvent(kEventSubmit, rec));
     if (rec.state != JobState::kAccepted || rec.attempts > 0) {
-      live.push_back(EncodeStateEvent(rec));
+      live.push_back(EncodeEvent(kEventState, rec));
     }
   }
   return journal_->Compact(live);
@@ -479,6 +461,7 @@ JobManagerStats JobManager::Stats() const {
   s.replay_events = replay_stats_.replayed;
   s.replay_crc_skipped = replay_stats_.crc_skipped;
   s.replay_truncated_bytes = replay_stats_.truncated_bytes;
+  s.replay_bad_events = replay_bad_events_;
   return s;
 }
 

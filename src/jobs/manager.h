@@ -121,6 +121,8 @@ struct JobManagerStats {
   uint64_t replay_events = 0;          // Journal records applied at Open.
   uint64_t replay_crc_skipped = 0;     // Bad-CRC records skipped at Open.
   uint64_t replay_truncated_bytes = 0;  // Torn tail dropped at Open.
+  uint64_t replay_bad_events = 0;  // Intact records that failed to decode or
+                                   // named a job with no submit record.
 };
 
 class JobManager {
@@ -197,9 +199,7 @@ class JobManager {
  private:
   explicit JobManager(JobManagerOptions options);
 
-  // Journal event codecs + application (mu_ held).
-  std::string EncodeSubmitEvent(const JobRecord& r) const;
-  std::string EncodeStateEvent(const JobRecord& r) const;
+  // Journal replay: decodes one event and applies it (mu_ held).
   void ApplyEvent(std::string_view payload);
   Status Journal(std::string_view event);  // Append, then fsync.
   Status JournalState(const JobRecord& r);

@@ -92,9 +92,9 @@ std::string EncodeFrame(std::string_view payload);
 Result<bool> ReadFrameFromFd(int fd, std::string* payload);
 Status WriteFrameToFd(int fd, std::string_view payload);
 
-// Payload (de)serialization uses the shared bounds-checked ByteWriter/
-// ByteReader (common/wire.h), the same primitives behind the cache log and
-// the job journal.
+// Payload (de)serialization walks one field list per layout (protocol.cc;
+// ServerStatsResult's is below) with the shared WireEncoder/WireDecoder
+// adapters (common/wire.h), the same mechanism behind the job journal.
 
 // ---------------------------------------------------------------------------
 // Requests.
@@ -447,6 +447,56 @@ struct ServerStatsResult {
   uint64_t jobs_pending = 0;        // Jobs queued or running right now.
   std::vector<uint64_t> worker_restarts;  // Watchdog kills per worker slot.
 };
+
+// Worker count is operator-bounded (<= 1024 threads); the same bound caps
+// worker_restarts on decode.
+inline constexpr uint32_t kMaxStatsWorkers = 1024;
+
+// The kServerStats layout. It lives here, not in protocol.cc, because the
+// gateway walks it too: each field's key is its JSON name in GET /stats.
+template <class IO>
+void Fields(IO& io, ServerStatsResult& m) {
+  io.U64(m.workers, "workers");
+  io.F64(m.uptime_seconds, "uptime_seconds");
+  io.U64(m.accepted, "accepted");
+  io.U64(m.served, "served");
+  io.U64(m.busy_rejected, "busy_rejected");
+  io.U64(m.quota_rejected, "quota_rejected");
+  io.U64(m.shed, "shed");
+  io.U64(m.quarantined, "quarantined");
+  io.U64(m.quarantined_signatures, "quarantined_signatures");
+  io.U64(m.watchdog_kills, "watchdog_kills");
+  io.U64(m.queue_depth, "queue_depth");
+  io.U64(m.in_flight, "in_flight");
+  io.U64(m.cache_replayed, "cache_replayed");
+  io.U64(m.cache_crc_skipped, "cache_crc_skipped");
+  io.U64(m.cache_truncated_bytes, "cache_truncated_bytes");
+  io.U64(m.cache_append_errors, "cache_append_errors");
+  io.U64(m.cache_open_errors, "cache_open_errors");
+  io.U64(m.store_puts, "store_puts");
+  io.U64(m.store_gets, "store_gets");
+  io.U64(m.store_corrupt, "store_corrupt");
+  io.U64(m.store_missing, "store_missing");
+  io.U64(m.store_unavailable, "store_unavailable");
+  io.U64(m.served_http, "served_http");
+  io.U64(m.quota_rejected_http, "quota_rejected_http");
+  io.U64(m.shed_http, "shed_http");
+  io.U64(m.batches, "batches");
+  io.U64(m.batch_jobs, "batch_jobs");
+  io.U64(m.batch_cache_hits, "batch_cache_hits");
+  io.U64(m.batch_graph_loads, "batch_graph_loads");
+  io.U64(m.jobs_submitted, "jobs_submitted");
+  io.U64(m.jobs_deduped, "jobs_deduped");
+  io.U64(m.jobs_done, "jobs_done");
+  io.U64(m.jobs_failed, "jobs_failed");
+  io.U64(m.jobs_cancelled, "jobs_cancelled");
+  io.U64(m.jobs_executions, "jobs_executions");
+  io.U64(m.jobs_recovered, "jobs_recovered");
+  io.U64(m.jobs_pending, "jobs_pending");
+  io.Seq32(
+      m.worker_restarts, kMaxStatsWorkers,
+      [&](uint64_t& restarts) { io.U64(restarts); }, "worker_restarts");
+}
 
 std::string EncodeServerStatsResult(const ServerStatsResult& result);
 Result<ServerStatsResult> DecodeServerStatsResult(std::string_view body);

@@ -183,6 +183,45 @@ TEST(CliTest, AlignRejectsNonPositiveMemLimit) {
   std::remove(g1.c_str());
 }
 
+TEST(CliTest, NumericFlagsRejectTrailingJunk) {
+  const std::string g1 = TempPath("junk_g1.txt");
+  const std::string g2 = TempPath("junk_g2.txt");
+  // Zero stays legal wherever it was: --seed 0, --level 0, --k 0.
+  ASSERT_EQ(RunTool({"generate", "--model", "er", "--n", "20", "--p", "0.2",
+                     "--seed", "0", "--k", "0", "--out", g1})
+                .exit_code,
+            0);
+  ASSERT_EQ(RunTool({"perturb", "--in", g1, "--level", "0", "--seed", "0",
+                     "--out", g2})
+                .exit_code,
+            0);
+  const std::vector<std::vector<std::string>> bad = {
+      {"generate", "--model", "er", "--n", "40x", "--out", g2},
+      {"generate", "--model", "er", "--n", "20", "--seed", "7abc", "--out",
+       g2},
+      {"generate", "--model", "er", "--n", "20", "--p", "0.2x", "--out", g2},
+      {"generate", "--model", "ba", "--n", "20", "--m", "3m", "--out", g2},
+      {"generate", "--model", "ws", "--n", "20", "--k", " 4", "--out", g2},
+      {"generate", "--model", "geometric", "--n", "20", "--radius", "0.1r",
+       "--out", g2},
+      {"perturb", "--in", g1, "--level", "0.05junk", "--out", g2},
+      {"perturb", "--in", g1, "--seed", "-1", "--out", g2},
+      {"align", "--g1", g1, "--g2", g1, "--algo", "NSD", "--time-limit",
+       "5s"},
+      {"align", "--g1", g1, "--g2", g1, "--algo", "NSD", "--mem-limit",
+       "512MB"},
+      {"align", "--g1", g1, "--g2", g1, "--algo", "NSD", "--isolate",
+       "--time-limit", "1e999"},
+  };
+  for (const std::vector<std::string>& args : bad) {
+    CliResult r = RunTool(args);
+    EXPECT_EQ(r.exit_code, 1) << args[0] << " " << args[args.size() - 1];
+    EXPECT_NE(r.err.find("must be"), std::string::npos) << r.err;
+  }
+  std::remove(g1.c_str());
+  std::remove(g2.c_str());
+}
+
 TEST(CliTest, PerturbRejectsUnknownNoise) {
   const std::string g1 = TempPath("noise_g1.txt");
   ASSERT_EQ(RunTool({"generate", "--model", "er", "--n", "20", "--p", "0.2",

@@ -256,6 +256,19 @@ TEST(ParseTest, StrictPositiveDouble) {
   }
 }
 
+TEST(ParseTest, StrictNonNegativeAcceptsZero) {
+  EXPECT_EQ(*ParseStrictNonNegativeInt("0"), 0);
+  EXPECT_EQ(*ParseStrictNonNegativeInt("7"), 7);
+  EXPECT_DOUBLE_EQ(*ParseStrictNonNegativeDouble("0"), 0.0);
+  EXPECT_DOUBLE_EQ(*ParseStrictNonNegativeDouble("0.05"), 0.05);
+  for (const char* bad : {"", "-1", "4x", " 4", "4.5", "99999999999"}) {
+    EXPECT_FALSE(ParseStrictNonNegativeInt(bad).ok()) << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "-0.5", "0.05junk", "nan", "inf", "1e400"}) {
+    EXPECT_FALSE(ParseStrictNonNegativeDouble(bad).ok()) << "'" << bad << "'";
+  }
+}
+
 TEST(ParseTest, StrictUint64) {
   auto v = ParseStrictUint64("18446744073709551615");  // 2^64 - 1.
   ASSERT_TRUE(v.ok());

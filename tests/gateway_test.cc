@@ -861,6 +861,26 @@ TEST_F(GatewayFixture, StatsReportsBothLayers) {
   // per-transport counter moves.
   ASSERT_TRUE(daemon.Get("served_http").AsInt64(&v, 1, 1 << 20));
   ASSERT_TRUE(daemon.Get("served").AsInt64(&v, 1, 1 << 20));
+  // The daemon object carries every ServerStatsResult field, under the
+  // struct's field name.
+  for (const char* key :
+       {"workers", "accepted", "served", "busy_rejected", "quota_rejected",
+        "shed", "quarantined", "quarantined_signatures", "watchdog_kills",
+        "queue_depth", "in_flight", "cache_replayed", "cache_crc_skipped",
+        "cache_truncated_bytes", "cache_append_errors", "cache_open_errors",
+        "store_puts", "store_gets", "store_corrupt", "store_missing",
+        "store_unavailable", "served_http", "quota_rejected_http",
+        "shed_http", "batches", "batch_jobs", "batch_cache_hits",
+        "batch_graph_loads", "jobs_submitted", "jobs_deduped", "jobs_done",
+        "jobs_failed", "jobs_cancelled", "jobs_executions", "jobs_recovered",
+        "jobs_pending"}) {
+    EXPECT_TRUE(daemon.Get(key).AsInt64(&v, 0, int64_t{1} << 40)) << key;
+  }
+  EXPECT_TRUE(daemon.Get("uptime_seconds").is_number());
+  const JsonValue& restarts = daemon.Get("worker_restarts");
+  ASSERT_TRUE(restarts.is_array());
+  ASSERT_TRUE(daemon.Get("workers").AsInt64(&v, 1, 1024));
+  EXPECT_EQ(restarts.AsArray().size(), static_cast<size_t>(v));
 }
 
 TEST_F(GatewayFixture, ConcurrentClientsAllSucceed) {

@@ -132,6 +132,36 @@ TEST_F(JobsTest, JournalSkipsCrcCorruptRecordAndKeepsRest) {
   EXPECT_EQ(stats.crc_skipped, 1u);
 }
 
+TEST_F(JobsTest, JournalReplayCountsBadEvents) {
+  uint64_t id = 0;
+  {
+    auto mgr = OpenManager();
+    auto sub = mgr->Submit("", "spec-bytes", 1000);
+    ASSERT_TRUE(sub.ok());
+    id = sub->record.job_id;
+  }
+  {
+    // Intact records that are not events: an unknown type byte, a
+    // truncated submit, and a state event for a job that was never
+    // submitted.
+    auto journal = RecordLog::Open(dir_, kJobJournalFormat,
+                                   [](std::string_view) {});
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE((*journal)->Append(std::string("\x09junk", 5)).ok());
+    ASSERT_TRUE((*journal)->Append(std::string("\x00\x01\x02", 3)).ok());
+    std::string orphan(1, '\x01');
+    orphan.append(8, '\x7f');  // job id
+    orphan.append(4 + 4 + 8 + 4, '\0');  // state, attempts, ts, code
+    orphan.append(8, '\0');  // empty message and result
+    ASSERT_TRUE((*journal)->Append(orphan).ok());
+  }
+  auto mgr = OpenManager();
+  const JobManagerStats stats = mgr->Stats();
+  EXPECT_EQ(stats.replay_events, 4u);
+  EXPECT_EQ(stats.replay_bad_events, 3u);
+  EXPECT_TRUE(mgr->Get(id).ok());  // The good submit still replayed.
+}
+
 // ---------------------------------------------------------------------------
 // Manager state machine.
 

@@ -7,18 +7,24 @@
 // where a silent overread becomes a hard failure.
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
+#include "common/record_log.h"
 #include "common/status.h"
 #include "gateway/http.h"
 #include "gateway/json.h"
 #include "graph/graph.h"
+#include "jobs/manager.h"
 #include "server/protocol.h"
 #include "store/gst.h"
 
@@ -410,6 +416,493 @@ TEST(ProtocolFuzzTest, ValidCorpusStillRoundTrips) {
   EXPECT_EQ(decoded->client, "roundtrip");
   EXPECT_EQ(decoded->align.algo, "GRASP");
   EXPECT_EQ(decoded->align.g1.edges.size(), align.align.g1.edges.size());
+}
+
+// --- Golden bytes ----------------------------------------------------------
+// The GAF1 payloads, the GAR1 cache-log values (encoded AlignResults) and
+// the GAJ1 journal events are durable contracts: an old log or an old peer
+// must keep decoding. A round trip cannot see a field that moved in both
+// the encoder and the decoder at once, so each layout is pinned here by the
+// exact bytes of one fully populated instance. Each case checks that the
+// instance encodes to exactly those bytes, that they decode back to it, and
+// that every strict prefix and the bytes plus one extra byte are rejected.
+
+std::string ToHex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<uint8_t>(c) & 15]);
+  }
+  return hex;
+}
+
+// `decode` returns the re-encoding of what it decoded, or nullopt when the
+// bytes are rejected. Comparing re-encodings compares every wire field.
+void ExpectGolden(
+    const std::string& name, const std::string& encoded,
+    const std::string& golden_hex,
+    const std::function<std::optional<std::string>(std::string_view)>& decode) {
+  SCOPED_TRACE(name);
+  EXPECT_EQ(ToHex(encoded), golden_hex);
+  const std::optional<std::string> again = decode(encoded);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(ToHex(*again), golden_hex);
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    EXPECT_FALSE(decode(std::string_view(encoded.data(), len)).has_value())
+        << "prefix of " << len << " bytes was accepted";
+  }
+  EXPECT_FALSE(decode(encoded + '\x07').has_value())
+      << "one trailing byte was accepted";
+}
+
+template <class T>
+void ExpectGoldenCodec(const std::string& name, const T& msg,
+                       std::string (*encode)(const T&),
+                       Result<T> (*decode)(std::string_view),
+                       const std::string& golden_hex) {
+  ExpectGolden(name, encode(msg), golden_hex,
+               [&](std::string_view bytes) -> std::optional<std::string> {
+                 Result<T> decoded = decode(bytes);
+                 if (!decoded.ok()) return std::nullopt;
+                 return encode(*decoded);
+               });
+}
+
+WireGraph GoldenGraph(int n) {
+  WireGraph g;
+  g.num_nodes = n;
+  g.edges = {{0, 1}, {1, n - 1}};
+  return g;
+}
+
+AlignRequest GoldenAlign() {
+  AlignRequest a;
+  a.algo = "GRASP";
+  a.assign = "MWM";
+  a.deadline_ms = 1500;
+  a.mem_limit_mb = 512;
+  a.no_cache = true;
+  a.g1 = GoldenGraph(3);
+  a.g2 = GoldenGraph(4);
+  return a;
+}
+
+AlignResult GoldenAlignResult() {
+  AlignResult r;
+  r.mapping = {2, -1, 0};
+  r.mnc = 0.5;
+  r.ec = 0.25;
+  r.s3 = 0.125;
+  r.align_seconds = 1.5;
+  r.degraded = true;
+  r.degrade_reason = "lanczos";
+  return r;
+}
+
+TEST(ProtocolGoldenTest, RequestsOfEveryType) {
+  struct Case {
+    RequestType type;
+    const char* hex;
+  };
+  const Case cases[] = {
+      {RequestType::kPing, "050000000103000000636c6901"},
+      {RequestType::kAlign,
+          "050000000203000000636c6901050000004752415350030000004d574ddc0500"
+          "0000000000000200000000000001000000000000000000000000000000000003"
+          "0000000200000000000000000000000100000001000000020000000400000002"
+          "0000000000000000000000010000000100000003000000"},
+      {RequestType::kEvaluate,
+          "050000000303000000636c690103000000020000000000000000000000010000"
+          "0001000000020000000300000002000000000000000000000001000000010000"
+          "0002000000030000000100000000000000ffffffff0300000001000000000000"
+          "0002000000"},
+      {RequestType::kStats,
+          "050000000403000000636c690105000000020000000000000000000000010000"
+          "000100000004000000"},
+      {RequestType::kCacheInfo, "050000000503000000636c6901"},
+      {RequestType::kShutdown, "050000000603000000636c6901"},
+      {RequestType::kServerStats, "050000000703000000636c6901"},
+      {RequestType::kPutGraph,
+          "050000000803000000636c690102000000020000000000000000000000010000"
+          "000100000001000000"},
+      {RequestType::kHasGraph, "050000000903000000636c6901efcdab8967452301"},
+      {RequestType::kAlignBatch,
+          "050000000a03000000636c690102000000018877665544332211000000000000"
+          "0000000000000000000000000000000300000002000000000000000000000001"
+          "0000000100000002000000010000000000000001000000030000004e53440200"
+          "00005347fa00000000000000400000000000000001"},
+      {RequestType::kSubmitJob,
+          "050000000b03000000636c6901050000004752415350030000004d574ddc0500"
+          "000000000000020000000000000101a8a7a6a5a4a3a2a1b8b7b6b5b4b3b2b100"
+          "0000000000000000000000000000000000000000000000050000006b65792d31"},
+      {RequestType::kJobStatus, "050000000c03000000636c69011032547698badcfe"},
+      {RequestType::kJobResult, "050000000d03000000636c69011032547698badcfe"},
+      {RequestType::kCancelJob, "050000000e03000000636c69011032547698badcfe"},
+  };
+  for (const Case& c : cases) {
+    Request r;
+    r.type = c.type;
+    r.client = "cli";
+    r.transport = Transport::kHttp;
+    switch (c.type) {
+      case RequestType::kAlign:
+        r.align = GoldenAlign();
+        break;
+      case RequestType::kEvaluate:
+        r.evaluate.g1 = GoldenGraph(3);
+        r.evaluate.g2 = GoldenGraph(3);
+        r.evaluate.mapping = {1, 0, -1};
+        r.evaluate.truth = {1, 0, 2};
+        break;
+      case RequestType::kStats:
+        r.stats.g = GoldenGraph(5);
+        break;
+      case RequestType::kPutGraph:
+        r.put_graph.g = GoldenGraph(2);
+        break;
+      case RequestType::kHasGraph:
+        r.has_graph.hash = 0x0123456789abcdefull;
+        break;
+      case RequestType::kAlignBatch: {
+        BatchGraphRef by_hash;
+        by_hash.by_hash = true;
+        by_hash.hash = 0x1122334455667788ull;
+        BatchGraphRef inline_graph;
+        inline_graph.inline_graph = GoldenGraph(3);
+        r.align_batch.graphs = {by_hash, inline_graph};
+        BatchJob job;
+        job.g1 = 0;
+        job.g2 = 1;
+        job.algo = "NSD";
+        job.assign = "SG";
+        job.deadline_ms = 250;
+        job.mem_limit_mb = 64;
+        job.no_cache = true;
+        r.align_batch.jobs = {job};
+        break;
+      }
+      case RequestType::kSubmitJob:
+        r.submit_job.align = GoldenAlign();
+        r.submit_job.align.by_hash = true;
+        r.submit_job.align.g1_hash = 0xa1a2a3a4a5a6a7a8ull;
+        r.submit_job.align.g2_hash = 0xb1b2b3b4b5b6b7b8ull;
+        r.submit_job.align.g1 = WireGraph();
+        r.submit_job.align.g2 = WireGraph();
+        r.submit_job.idem_key = "key-1";
+        break;
+      case RequestType::kJobStatus:
+      case RequestType::kJobResult:
+      case RequestType::kCancelJob:
+        r.job_id.job_id = 0xfedcba9876543210ull;
+        break;
+      default:
+        break;
+    }
+    ExpectGoldenCodec(
+        "request type " + std::to_string(static_cast<int>(c.type)), r,
+        EncodeRequest, DecodeRequest, c.hex);
+  }
+}
+
+TEST(ProtocolGoldenTest, ResponseAndAlignSpec) {
+  Response response;
+  response.code = ResponseCode::kShed;
+  response.cache_hit = true;
+  response.elapsed_us = 123456;
+  response.retry_after_ms = 250;
+  response.message = "queue wait";
+  response.body = "body";
+  ExpectGoldenCodec("response", response, EncodeResponse, DecodeResponse,
+          "05000000090140e2010000000000fa000000000000000a000000717565756520"
+          "7761697404000000626f6479");
+
+  ExpectGoldenCodec("align spec", GoldenAlign(), EncodeAlignSpec,
+                    DecodeAlignSpec,
+          "050000004752415350030000004d574ddc050000000000000002000000000000"
+          "0100000000000000000000000000000000000300000002000000000000000000"
+          "0000010000000100000002000000040000000200000000000000000000000100"
+          "00000100000003000000");
+}
+
+TEST(ProtocolGoldenTest, ResultBodies) {
+  ExpectGoldenCodec("align result", GoldenAlignResult(), EncodeAlignResult,
+                    DecodeAlignResult,
+          "0300000002000000ffffffff00000000000000000000e03f000000000000d03f"
+          "000000000000c03f000000000000f83f01070000006c616e637a6f73");
+
+  AlignBatchResult batch;
+  batch.graph_loads = 2;
+  BatchJobOutcome ok;
+  ok.code = ResponseCode::kOk;
+  ok.cache_hit = true;
+  ok.body = EncodeAlignResult(GoldenAlignResult());
+  BatchJobOutcome dnf;
+  dnf.code = ResponseCode::kDnf;
+  dnf.message = "deadline";
+  batch.jobs = {ok, dnf};
+  ExpectGoldenCodec("align batch result", batch, EncodeAlignBatchResult,
+                    DecodeAlignBatchResult,
+          "02000000020000000001000000003c0000000300000002000000ffffffff0000"
+          "0000000000000000e03f000000000000d03f000000000000c03f000000000000"
+          "f83f01070000006c616e637a6f73030008000000646561646c696e6500000000");
+
+  EvaluateResult eval;
+  eval.mnc = 0.5;
+  eval.ec = 0.25;
+  eval.ics = 0.75;
+  eval.s3 = 0.125;
+  eval.has_accuracy = true;
+  eval.accuracy = 0.875;
+  ExpectGoldenCodec("evaluate result", eval, EncodeEvaluateResult,
+                    DecodeEvaluateResult,
+          "000000000000e03f000000000000d03f000000000000e83f000000000000c03f"
+          "01000000000000ec3f");
+
+  StatsResult stats;
+  stats.num_nodes = 60;
+  stats.num_edges = 171;
+  stats.avg_degree = 5.7;
+  stats.max_degree = 12;
+  stats.components = 2;
+  stats.content_hash = 0xdeadbeefcafef00dull;
+  ExpectGoldenCodec("stats result", stats, EncodeStatsResult,
+                    DecodeStatsResult,
+          "3c000000ab00000000000000cdcccccccccc16400c000000020000000df0feca"
+          "efbeadde");
+
+  PutGraphResult put;
+  put.content_hash = 0x27f1f48ddd44eec1ull;
+  put.already_present = true;
+  ExpectGoldenCodec("put-graph result", put, EncodePutGraphResult,
+                    DecodePutGraphResult, "c1ee44dd8df4f12701");
+
+  HasGraphResult has;
+  has.present = true;
+  ExpectGoldenCodec("has-graph result", has, EncodeHasGraphResult,
+                    DecodeHasGraphResult, "01");
+
+  JobInfo info;
+  info.job_id = 0x0102030405060708ull;
+  info.state = 3;
+  info.state_name = "FAILED";
+  info.attempts = 2;
+  info.max_attempts = 3;
+  info.submitted_unix_ms = 1000;
+  info.updated_unix_ms = 2000;
+  info.terminal_code = 4;
+  info.message = "crashed";
+  info.existing = true;
+  ExpectGoldenCodec("job info", info, EncodeJobInfo, DecodeJobInfo,
+          "080706050403020103000000060000004641494c45440200000003000000e803"
+          "000000000000d00700000000000004000000070000006372617368656401");
+
+  CacheInfoResult cache;
+  cache.hits = 1;
+  cache.misses = 2;
+  cache.evictions = 3;
+  cache.entries = 4;
+  cache.bytes = 5;
+  cache.capacity_bytes = 6;
+  ExpectGoldenCodec("cache info result", cache, EncodeCacheInfoResult,
+                    DecodeCacheInfoResult,
+          "0100000000000000020000000000000003000000000000000400000000000000"
+          "05000000000000000600000000000000");
+
+  // Every counter gets a distinct value, so a swapped pair shows.
+  ServerStatsResult server;
+  uint64_t next = 1;
+  for (uint64_t* field :
+       {&server.workers, &server.accepted, &server.served,
+        &server.busy_rejected, &server.quota_rejected, &server.shed,
+        &server.quarantined, &server.quarantined_signatures,
+        &server.watchdog_kills, &server.queue_depth, &server.in_flight,
+        &server.cache_replayed, &server.cache_crc_skipped,
+        &server.cache_truncated_bytes, &server.cache_append_errors,
+        &server.cache_open_errors, &server.store_puts, &server.store_gets,
+        &server.store_corrupt, &server.store_missing,
+        &server.store_unavailable, &server.served_http,
+        &server.quota_rejected_http, &server.shed_http, &server.batches,
+        &server.batch_jobs, &server.batch_cache_hits,
+        &server.batch_graph_loads, &server.jobs_submitted,
+        &server.jobs_deduped, &server.jobs_done, &server.jobs_failed,
+        &server.jobs_cancelled, &server.jobs_executions,
+        &server.jobs_recovered, &server.jobs_pending}) {
+    *field = next++;
+  }
+  server.uptime_seconds = 12.5;
+  server.worker_restarts = {0, 7};
+  ExpectGoldenCodec("server stats result", server, EncodeServerStatsResult,
+                    DecodeServerStatsResult,
+          "0100000000000000000000000000294002000000000000000300000000000000"
+          "0400000000000000050000000000000006000000000000000700000000000000"
+          "080000000000000009000000000000000a000000000000000b00000000000000"
+          "0c000000000000000d000000000000000e000000000000000f00000000000000"
+          "1000000000000000110000000000000012000000000000001300000000000000"
+          "1400000000000000150000000000000016000000000000001700000000000000"
+          "180000000000000019000000000000001a000000000000001b00000000000000"
+          "1c000000000000001d000000000000001e000000000000001f00000000000000"
+          "2000000000000000210000000000000022000000000000002300000000000000"
+          "24000000000000000200000000000000000000000700000000000000");
+}
+
+// --- GAJ1 journal events ---------------------------------------------------
+// The event codec is private to the job manager, so these cases go through
+// its public surface: the manager writes the events for a known history,
+// and a journal holding the golden bytes is replayed by a fresh manager.
+
+class JournalGoldenTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    char tmpl[] = "/tmp/ga_goldenXXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    dir_ = tmpl;
+  }
+
+  void TearDown() override {
+    std::string cmd = "rm -rf '" + dir_ + "'";
+    ASSERT_EQ(std::system(cmd.c_str()), 0);
+  }
+
+  JobManagerOptions Options() const {
+    JobManagerOptions options;
+    options.dir = dir_;
+    options.max_attempts = 3;
+    return options;
+  }
+
+  // Replaces the journal with exactly `events` and opens a manager on it.
+  std::unique_ptr<JobManager> Replay(const std::vector<std::string>& events) {
+    std::remove((dir_ + "/jobs.journal").c_str());
+    {
+      auto journal = RecordLog::Open(dir_, kJobJournalFormat,
+                                     [](std::string_view) {});
+      GA_CHECK(journal.ok());
+      for (const std::string& e : events) GA_CHECK((*journal)->Append(e).ok());
+      GA_CHECK((*journal)->Sync().ok());
+    }
+    auto manager = JobManager::Open(Options(), 5000);
+    GA_CHECK(manager.ok());
+    return *std::move(manager);
+  }
+
+  std::vector<std::string> JournalEvents() {
+    std::vector<std::string> events;
+    auto journal = RecordLog::Open(
+        dir_, kJobJournalFormat,
+        [&events](std::string_view p) { events.emplace_back(p); });
+    GA_CHECK(journal.ok());
+    return events;
+  }
+
+  std::string dir_;
+};
+
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST_F(JournalGoldenTest, SubmitAndStateEvents) {
+  const std::string done_spec = "spec:done";
+  const std::string failed_spec = "spec:failed";
+  {
+    auto opened = JobManager::Open(Options(), 1000);
+    ASSERT_TRUE(opened.ok());
+    JobManager& mgr = **opened;
+    ASSERT_TRUE(mgr.Submit("idem-1", done_spec, 1000).ok());
+    JobRecord claimed;
+    ASSERT_TRUE(mgr.ClaimNext(&claimed, nullptr));
+    ASSERT_TRUE(mgr.CompleteDone(claimed.job_id, "result-bytes", 2000).ok());
+    ASSERT_TRUE(mgr.Submit("", failed_spec, 3000).ok());
+    ASSERT_TRUE(mgr.ClaimNext(&claimed, nullptr));
+    ASSERT_TRUE(
+        mgr.CompleteFailed(claimed.job_id, 4, "crashed", false, 4000).ok());
+  }
+  // Submit, claim, done; submit, claim, failed. The claims carry wall-clock
+  // timestamps, so they are not pinned.
+  const std::vector<std::string> events = JournalEvents();
+  ASSERT_EQ(events.size(), 6u);
+  const std::string submit_hex =
+     
+          "00eceffec0aef4c3bb060000006964656d2d3109000000737065633a646f6e65"
+          "e80300000000000003000000";
+  const std::string done_hex =
+     
+          "01eceffec0aef4c3bb0200000001000000d00700000000000000000000000000"
+          "000c000000726573756c742d6279746573";
+  const std::string failed_submit_hex =
+     
+          "0081ed2efef518f3bf000000000b000000737065633a6661696c6564b80b0000"
+          "0000000003000000";
+  const std::string failed_hex =
+     
+          "0181ed2efef518f3bf0300000001000000a00f00000000000004000000070000"
+          "006372617368656400000000";
+  EXPECT_EQ(ToHex(events[0]), submit_hex);
+  EXPECT_EQ(ToHex(events[2]), done_hex);
+  EXPECT_EQ(ToHex(events[3]), failed_submit_hex);
+  EXPECT_EQ(ToHex(events[5]), failed_hex);
+
+  const uint64_t done_id = JobContentId(done_spec);
+  const uint64_t failed_id = JobContentId(failed_spec);
+  {
+    auto mgr = Replay({FromHex(submit_hex), FromHex(done_hex),
+                       FromHex(failed_submit_hex), FromHex(failed_hex)});
+    Result<JobRecord> done = mgr->Get(done_id);
+    ASSERT_TRUE(done.ok());
+    EXPECT_EQ(done->idem_key, "idem-1");
+    EXPECT_EQ(done->spec_bytes, done_spec);
+    EXPECT_EQ(done->state, JobState::kDone);
+    EXPECT_EQ(done->attempts, 1u);
+    EXPECT_EQ(done->max_attempts, 3u);
+    EXPECT_EQ(done->submitted_unix_ms, 1000u);
+    EXPECT_EQ(done->updated_unix_ms, 2000u);
+    EXPECT_EQ(done->terminal_code, 0u);
+    EXPECT_EQ(done->message, "");
+    EXPECT_EQ(done->result_bytes, "result-bytes");
+    Result<JobRecord> failed = mgr->Get(failed_id);
+    ASSERT_TRUE(failed.ok());
+    EXPECT_EQ(failed->idem_key, "");
+    EXPECT_EQ(failed->state, JobState::kFailed);
+    EXPECT_EQ(failed->attempts, 1u);
+    EXPECT_EQ(failed->updated_unix_ms, 4000u);
+    EXPECT_EQ(failed->terminal_code, 4u);
+    EXPECT_EQ(failed->message, "crashed");
+    EXPECT_EQ(failed->result_bytes, "");
+  }
+
+  // A truncated or overlong submit event creates no job. (A zero-length
+  // record cannot be appended, so prefixes start at one byte.)
+  const std::string submit = FromHex(submit_hex);
+  for (size_t len = 1; len <= submit.size(); ++len) {
+    const std::string bad =
+        len < submit.size() ? submit.substr(0, len) : submit + '\x07';
+    EXPECT_FALSE(Replay({bad})->Get(done_id).ok()) << len;
+  }
+  // A truncated or overlong state event leaves the job as submitted.
+  struct StateCase {
+    std::string submit_event, state_event;
+    uint64_t id;
+  };
+  const StateCase state_cases[] = {
+      {submit, FromHex(done_hex), done_id},
+      {FromHex(failed_submit_hex), FromHex(failed_hex), failed_id}};
+  for (const StateCase& c : state_cases) {
+    const std::string& state = c.state_event;
+    for (size_t len = 1; len <= state.size(); ++len) {
+      const std::string bad =
+          len < state.size() ? state.substr(0, len) : state + '\x07';
+      Result<JobRecord> rec = Replay({c.submit_event, bad})->Get(c.id);
+      ASSERT_TRUE(rec.ok());
+      EXPECT_EQ(rec->state, JobState::kAccepted) << len;
+      EXPECT_EQ(rec->attempts, 0u) << len;
+    }
+  }
 }
 
 // --- GST1 store format -----------------------------------------------------

@@ -9,14 +9,16 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/status.h"
+#include "common/parallel.h"
 #include "common/random.h"
+#include "common/status.h"
 #include "common/subprocess.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -568,6 +570,49 @@ TEST_F(ServerFixture, PingAndStatsAndEvaluate) {
   EXPECT_DOUBLE_EQ(er->ec, 1.0);
   ASSERT_TRUE(er->has_accuracy);
   EXPECT_DOUBLE_EQ(er->accuracy, 1.0);
+}
+
+// The daemon never starts the ParallelFor pool in-process: evaluate, stats
+// and put-graph run inline in the worker, and aligners run in forked
+// children. So each child builds a pool of its own and gets threads (the
+// subprocess test pins that half). Were the daemon ever to touch the pool,
+// every later child would see a forked pool and run inline.
+TEST_F(ServerFixture, ServingNeverStartsTheThreadPool) {
+  ASSERT_EQ(ParallelWorkersStarted(), 0)
+      << "an earlier test in this process started the pool";
+  char store_dir[] = "/tmp/ga_srv_poolXXXXXX";
+  ASSERT_NE(::mkdtemp(store_dir), nullptr);
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("pool");
+  opts.workers = 2;
+  opts.store_dir = store_dir;
+  StartServer(opts);
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  Graph g = MustGraph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
+  Request ping;
+  ping.type = RequestType::kPing;
+  Request stats;
+  stats.type = RequestType::kStats;
+  stats.stats.g = ToWire(g);
+  Request eval;
+  eval.type = RequestType::kEvaluate;
+  eval.evaluate.g1 = ToWire(g);
+  eval.evaluate.g2 = ToWire(g);
+  eval.evaluate.mapping = {0, 1, 2, 3, 4};
+  eval.evaluate.truth = {0, 1, 2, 3, 4};
+  Request put;
+  put.type = RequestType::kPutGraph;
+  put.put_graph.g = ToWire(g);
+  for (const Request& req :
+       {ping, stats, eval, put, MakeAlignRequest(g, g, "NSD")}) {
+    Response resp = MustCall(*client, req);
+    EXPECT_EQ(resp.code, ResponseCode::kOk) << resp.message;
+  }
+  EXPECT_EQ(ParallelWorkersStarted(), 0);
+  std::string cmd = "rm -rf '" + std::string(store_dir) + "'";
+  EXPECT_EQ(std::system(cmd.c_str()), 0);
 }
 
 TEST_F(ServerFixture, EvaluateRejectsMalformedMapping) {

@@ -11,11 +11,16 @@
 #include <cstdlib>
 #include <unistd.h>
 
+#include <condition_variable>
+#include <cstdio>
 #include <future>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "gtest/gtest.h"
 
 namespace graphalign {
@@ -185,6 +190,45 @@ TEST(RunIsolatedTest, CancelThatNeverFiresLeavesCleanRunsUntouched) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->status, RunStatus::kOk);
   EXPECT_FALSE(result->killed_on_cancel);
+}
+
+// The daemon never starts the ParallelFor pool (the server test pins that
+// half), so an isolated child builds a pool of its own, owned by the child,
+// and runs ParallelFor on real threads. Each block waits (bounded) for a
+// second thread to show up, so the count does not depend on scheduling.
+TEST(RunIsolatedTest, ChildOfAPoollessParentRunsParallelForOnThreads) {
+  ASSERT_EQ(ParallelWorkersStarted(), 0);
+  auto result = RunIsolated([](int payload_fd) {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::set<std::thread::id> ids;
+    ParallelFor(
+        64,
+        [&](int64_t, int64_t) {
+          std::unique_lock<std::mutex> lock(mu);
+          ids.insert(std::this_thread::get_id());
+          cv.notify_all();
+          cv.wait_for(lock, std::chrono::seconds(5),
+                      [&] { return ids.size() > 1; });
+        },
+        /*min_work=*/1);
+    const std::string report = std::to_string(ParallelThreadCount()) + " " +
+                               std::to_string(ids.size());
+    return WritePayload(payload_fd, report) ? 0 : 1;
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->status, RunStatus::kOk) << result->detail;
+  ASSERT_TRUE(result->payload_valid);
+  int threads = 0;
+  size_t seen = 0;
+  ASSERT_EQ(std::sscanf(result->payload.c_str(), "%d %zu", &threads, &seen),
+            2);
+  if (threads > 1) {
+    EXPECT_GT(seen, 1u) << "the child ran ParallelFor inline";
+  } else {
+    EXPECT_EQ(seen, 1u);
+  }
+  EXPECT_EQ(ParallelWorkersStarted(), 0);  // The child's pool is its own.
 }
 
 TEST(CountProcThreadsTest, SeesAtLeastTheMainThread) {
