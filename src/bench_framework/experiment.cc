@@ -224,12 +224,17 @@ class FaultAligner : public Aligner {
         return Status::ResourceExhausted(
             "_OOM injector survived its 4 GB appetite (no memory limit?)");
       }
-      case Kind::kHang:
+      case Kind::kHang: {
         // Deliberately never polls the deadline: only the executor's hard
-        // wall-clock kill can stop this.
-        for (volatile uint64_t spin = 0;; spin = spin + 1) {
+        // wall-clock kill can stop this. The volatile store is the side
+        // effect that keeps the endless loop well-defined; as a statement
+        // of its own its value is never used (C++20 -Wvolatile).
+        volatile uint64_t spin = 0;
+        for (;;) {
+          const uint64_t next = spin + 1;
+          spin = next;
         }
-        break;
+      }
     }
     return Status::Internal("unreachable fault injector state");
   }

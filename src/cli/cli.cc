@@ -18,6 +18,7 @@
 #include "common/exit_codes.h"
 #include "datasets/datasets.h"
 #include "common/failpoint.h"
+#include "common/parallel.h"
 #include "common/parse.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -115,14 +116,19 @@ int Fail(std::ostream& err, const Status& status) {
 // the same strict whole-string rules as the bench flags. Must run before the
 // first ParallelFor of the process — the pool latches its size on first use
 // — which holds for every CLI path (commands parse flags before computing).
+// Without the flag a malformed GRAPHALIGN_THREADS is reported here, once,
+// rather than by each isolated child of `align --isolate` or `serve`.
 Status ApplyThreadsFlag(const Flags& flags) {
-  if (!flags.Has("threads")) return Status::Ok();
+  if (!flags.Has("threads")) {
+    CheckThreadsEnv();
+    return Status::Ok();
+  }
   const std::string value = flags.GetString("threads");
-  auto n = ParseStrictPositiveInt(value);
-  if (!n.ok() || *n > 1024) {
+  auto n = ParseThreadCount(value);
+  if (!n.ok()) {
     return Status::InvalidArgument(
-        "--threads must be a positive integer (1..1024), got '" + value +
-        "'");
+        "--threads must be a positive integer (1.." +
+        std::to_string(kMaxParallelThreads) + "), got '" + value + "'");
   }
   setenv("GRAPHALIGN_THREADS", std::to_string(*n).c_str(), 1);
   return Status::Ok();
@@ -581,11 +587,9 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
       StrictIntFlag(flags, "job-workers", options.job_workers);
   if (!job_workers.ok()) return Fail(err, job_workers.status());
   options.job_workers = *job_workers;
-  // --http-port N: also serve the HTTP/JSON gateway (DESIGN.md §16) on
-  // 127.0.0.1:N (0 = kernel-assigned). The gateway forwards every HTTP
-  // request as a GAF1 call against this daemon, so quotas/shed/quarantine
-  // apply to HTTP traffic unchanged.
-  int http_port = -1;
+  // --http-port N: also serve HTTP/JSON (DESIGN.md §16) on 127.0.0.1:N
+  // (0 = kernel-assigned). HTTP connections share the daemon's admission
+  // queue and workers, so quotas/shed/quarantine apply to them unchanged.
   if (flags.Has("http-port")) {
     auto p = ParseStrictUint64(flags.GetString("http-port"));
     if (!p.ok() || *p > 65535) {
@@ -593,7 +597,7 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
                            "--http-port must be an integer in 0..65535, "
                            "got '" + flags.GetString("http-port") + "'"));
     }
-    http_port = static_cast<int>(*p);
+    options.http_port = static_cast<int>(*p);
   }
 
   // Block SIGINT/SIGTERM before spawning server threads (they inherit the
@@ -612,28 +616,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   if (!server.ok()) return Fail(err, server.status());
   Status started = (*server)->Start();
   if (!started.ok()) return Fail(err, started);
-
-  // The gateway threads inherit the blocked signal mask: operator signals
-  // keep flowing to the sigwaiter below, which shuts both layers down.
-  std::unique_ptr<Gateway> gateway;
-  if (http_port >= 0) {
-    GatewayOptions gw;
-    gw.http_port = http_port;
-    if (!options.socket_path.empty()) {
-      gw.backend.socket_path = options.socket_path;
-    } else {
-      gw.backend.port = (*server)->port();
-    }
-    auto created = Gateway::Create(gw);
-    Status gw_started =
-        created.ok() ? (*created)->Start() : created.status();
-    if (!gw_started.ok()) {
-      (*server)->Shutdown();
-      (*server)->Wait();
-      return Fail(err, gw_started);
-    }
-    gateway = std::move(*created);
-  }
 
   std::atomic<bool> server_done{false};
   // Blocks in sigwait only and holds no locks, so forking alignment workers
@@ -665,17 +647,13 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   }
   out << " (workers=" << options.workers << ", cache="
       << Table::Num(options.cache_mb, 0) << "MB)\n";
-  if (gateway != nullptr) {
-    out << "graphalign gateway serving on 127.0.0.1:" << gateway->port()
-        << "\n";
+  if ((*server)->http_port() >= 0) {
+    out << "graphalign gateway serving on 127.0.0.1:"
+        << (*server)->http_port() << "\n";
   }
   out.flush();
 
   (*server)->Wait();
-  if (gateway != nullptr) {
-    gateway->Shutdown();
-    gateway->Wait();
-  }
   // Wake the sigwaiter if it is still blocked (shutdown via a kShutdown
   // request, or a drain that completed); sigwait consumes the nudge.
   server_done.store(true, std::memory_order_release);

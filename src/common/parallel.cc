@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/parse.h"
 
 namespace graphalign {
 
@@ -22,6 +25,25 @@ thread_local bool t_in_pool_job = false;
 
 // Worker threads launched so far (set once in the Pool constructor).
 std::atomic<int> g_workers_started{0};
+
+// The hardware count, or GRAPHALIGN_THREADS when ParseThreadCount accepts
+// it. A rejected value is named in one stderr line; with `unset` it is also
+// removed from the environment, so pools built later in this process or in
+// its forked children use the hardware count without repeating the line.
+int ThreadsFromEnv(bool unset) {
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const char* env = std::getenv("GRAPHALIGN_THREADS");
+  if (env == nullptr) return hardware;
+  auto parsed = ParseThreadCount(env);
+  if (parsed.ok()) return *parsed;
+  std::fprintf(stderr,
+               "GRAPHALIGN_THREADS='%s' ignored (want an integer in 1..%d); "
+               "using %d hardware threads\n",
+               env, kMaxParallelThreads, hardware);
+  if (unset) ::unsetenv("GRAPHALIGN_THREADS");
+  return hardware;
+}
 
 // A minimal persistent pool: workers sleep on a condition variable and are
 // woken with a (fn, n, blocks) job; the submitting thread participates too.
@@ -58,12 +80,7 @@ class Pool {
 
  private:
   Pool() {
-    int threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (const char* env = std::getenv("GRAPHALIGN_THREADS")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) threads = parsed;
-    }
-    threads = std::max(1, threads);
+    const int threads = ThreadsFromEnv(/*unset=*/false);
     owner_pid_ = getpid();
     workers_ = threads - 1;
     g_workers_started.store(workers_, std::memory_order_relaxed);
@@ -117,6 +134,18 @@ class Pool {
 
 }  // namespace
 
+Result<int> ParseThreadCount(const std::string& text) {
+  auto n = ParseStrictPositiveInt(text);
+  if (!n.ok() || *n > kMaxParallelThreads) {
+    return Status::InvalidArgument("thread count must be an integer in 1.." +
+                                   std::to_string(kMaxParallelThreads) +
+                                   ", got '" + text + "'");
+  }
+  return *n;
+}
+
+void CheckThreadsEnv() { (void)ThreadsFromEnv(/*unset=*/true); }
+
 int ParallelThreadCount() { return Pool::Instance().thread_count(); }
 
 int ParallelWorkersStarted() {
@@ -127,13 +156,15 @@ void ParallelFor(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
                  int64_t min_work) {
   if (n <= 0) return;
   // A nested call from inside a pool job runs inline: the pool has a single
-  // job slot and reentrant submission would corrupt the outer job.
-  if (t_in_pool_job) {
+  // job slot and reentrant submission would corrupt the outer job. So does
+  // a loop too small to split, before it can build the pool: a process that
+  // starts the pool hands forked children a copy that must run inline.
+  if (t_in_pool_job || n < min_work) {
     fn(0, n);
     return;
   }
   Pool& pool = Pool::Instance();
-  if (n < min_work || pool.thread_count() == 1 || pool.InForkedChild()) {
+  if (pool.thread_count() == 1 || pool.InForkedChild()) {
     fn(0, n);
     return;
   }

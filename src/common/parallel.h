@@ -6,14 +6,33 @@
 // and each block writes disjoint rows, so results are byte-identical to the
 // sequential execution regardless of thread count.
 //
-// Thread count: GRAPHALIGN_THREADS env var, else hardware concurrency.
+// Thread count: GRAPHALIGN_THREADS env var, else hardware concurrency. A
+// value ParseThreadCount rejects is named in one stderr line and the
+// hardware count is used instead (see CheckThreadsEnv for forked children).
 #ifndef GRAPHALIGN_COMMON_PARALLEL_H_
 #define GRAPHALIGN_COMMON_PARALLEL_H_
 
 #include <cstdint>
 #include <functional>
+#include <string>
+
+#include "common/status.h"
 
 namespace graphalign {
+
+// Largest pool size GRAPHALIGN_THREADS and `--threads` accept.
+inline constexpr int kMaxParallelThreads = 1024;
+
+// Strict whole-string thread count in 1..kMaxParallelThreads (common/parse.h
+// rules: "2x", "0", "-3" and "junk" are all rejected).
+Result<int> ParseThreadCount(const std::string& text);
+
+// Checks GRAPHALIGN_THREADS without building the pool. A value
+// ParseThreadCount rejects is named in one stderr line and removed from the
+// environment, so every child forked afterwards (the daemon's isolated
+// aligners) uses the hardware count without printing the line again. Call it
+// while the process is still single-threaded.
+void CheckThreadsEnv();
 
 // Number of worker threads the pool uses (>= 1).
 int ParallelThreadCount();
@@ -26,7 +45,8 @@ int ParallelWorkersStarted();
 
 // Invokes fn(begin, end) over a partition of [0, n) across the pool.
 // Blocks until all blocks complete. Falls back to a single inline call when
-// n < min_work or only one thread is configured. fn must write only to
+// n < min_work (without building the pool) or only one thread is
+// configured. fn must write only to
 // locations indexed by its own [begin, end) range.
 //
 // Reentrancy: a ParallelFor issued from inside a pool job (i.e. from within

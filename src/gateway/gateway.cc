@@ -1,22 +1,14 @@
 #include "gateway/gateway.h"
 
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <cerrno>
 #include <cstring>
-#include <deque>
-#include <mutex>
-#include <thread>
-#include <unordered_set>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "common/subprocess.h"
-#include "gateway/json.h"
+#include "common/timer.h"
 #include "jobs/manager.h"
 #include "store/graph_store.h"
 
@@ -25,22 +17,6 @@ namespace graphalign {
 namespace {
 
 constexpr const char* kJsonType = "application/json";
-
-double ElapsedSeconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
-
-void SetSocketTimeouts(int fd, double seconds) {
-  if (seconds <= 0.0) return;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
 
 // ---------------------------------------------------------------------------
 // JSON <-> protocol translation.
@@ -360,204 +336,86 @@ int HttpStatusForResponseCode(ResponseCode code) {
   return 500;
 }
 
-class Gateway::Impl {
+namespace {
+
+// Writes all of `bytes`; false on socket error (peer gone).
+bool SendAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n =
+        send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+std::string ErrorBody(const char* status_name, const std::string& detail) {
+  return std::string("{\"status\":\"") + status_name + "\",\"error\":\"" +
+         JsonEscape(detail) + "\"}";
+}
+
+// The shared tail of every daemon answer: map the typed ResponseCode to an
+// HTTP status and attach the standard envelope fields.
+std::string EncodeDaemonResponse(const Response& response, JsonValue body,
+                                 bool keep_alive) {
+  body.Set("status", JsonValue::Str(ResponseCodeName(response.code)));
+  body.Set("cache_hit", JsonValue::Bool(response.cache_hit));
+  body.Set("elapsed_us",
+           JsonValue::Number(static_cast<double>(response.elapsed_us)));
+  if (!response.message.empty()) {
+    body.Set("error", JsonValue::Str(response.message));
+  }
+  const int status = HttpStatusForResponseCode(response.code);
+  std::vector<std::pair<std::string, std::string>> extra;
+  if (response.retry_after_ms > 0 && (status == 429 || status == 503)) {
+    // Retry-After is delta-seconds; round up so a 250ms hint never
+    // becomes "retry immediately". The exact millisecond hint rides in
+    // the body for clients that want the finer grain.
+    extra.emplace_back(
+        "Retry-After", std::to_string((response.retry_after_ms + 999) / 1000));
+    body.Set("retry_after_ms",
+             JsonValue::Number(static_cast<double>(response.retry_after_ms)));
+  }
+  return EncodeHttpResponse(status, kJsonType, body.Dump(), keep_alive, extra);
+}
+
+JsonValue CountersJson(const HttpCounters& c) {
+  JsonValue out = JsonValue::Object();
+  const std::pair<const char*, const std::atomic<uint64_t>*> fields[] = {
+      {"connections", &c.connections},
+      {"requests", &c.requests},
+      {"rejected_overload", &c.rejected_overload},
+      {"bad_requests", &c.bad_requests},
+      {"oversized", &c.oversized},
+      {"timeouts", &c.timeouts},
+  };
+  for (const auto& [key, value] : fields) {
+    out.Set(key, JsonValue::Number(static_cast<double>(
+                     value->load(std::memory_order_relaxed))));
+  }
+  return out;
+}
+
+// One HTTP connection being served by a daemon worker.
+class HttpSession {
  public:
-  explicit Impl(const GatewayOptions& options) : options_(options) {}
+  HttpSession(int fd, double io_timeout_seconds, HttpCounters* counters,
+              const std::function<bool()>& closing,
+              const std::function<Response(Request)>& call)
+      : fd_(fd),
+        io_timeout_seconds_(io_timeout_seconds),
+        counters_(counters),
+        closing_(closing),
+        call_(call) {}
 
-  ~Impl() {
-    Shutdown();
-    Wait();
-    if (listen_fd_ >= 0) close(listen_fd_);
-  }
-
-  Status Bind() {
-    if (options_.workers <= 0) {
-      return Status::InvalidArgument("gateway: workers must be positive");
-    }
-    if (options_.max_connections <= 0) {
-      return Status::InvalidArgument(
-          "gateway: max_connections must be positive");
-    }
-    const int fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return Status::Internal("socket() failed: " +
-                              std::string(strerror(errno)));
-    }
-    const int one = 1;
-    setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(options_.http_port));
-    if (bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      const std::string detail = strerror(errno);
-      close(fd);
-      return Status::Internal("gateway bind(127.0.0.1:" +
-                              std::to_string(options_.http_port) +
-                              ") failed: " + detail);
-    }
-    if (listen(fd, 64) != 0) {
-      const std::string detail = strerror(errno);
-      close(fd);
-      return Status::Internal("gateway listen() failed: " + detail);
-    }
-    socklen_t len = sizeof(addr);
-    if (getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) ==
-        0) {
-      bound_port_ = ntohs(addr.sin_port);
-    }
-    listen_fd_ = fd;
-    return Status::Ok();
-  }
-
-  Status Start() {
-    if (listen_fd_ < 0) {
-      return Status::FailedPrecondition("gateway: not bound");
-    }
-    for (int w = 0; w < options_.workers; ++w) {
-      threads_.emplace_back([this] { WorkerLoop(); });
-    }
-    threads_.emplace_back([this] { AcceptLoop(); });
-    return Status::Ok();
-  }
-
-  void Shutdown() {
-    bool expected = false;
-    if (!stopping_.compare_exchange_strong(expected, true)) return;
-    if (listen_fd_ >= 0) shutdown(listen_fd_, SHUT_RDWR);
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int fd : active_fds_) shutdown(fd, SHUT_RDWR);
-    for (int fd : queue_) shutdown(fd, SHUT_RDWR);
-    queue_cv_.notify_all();
-  }
-
-  void Wait() {
-    std::vector<ForkTolerantThread> threads;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      threads.swap(threads_);
-    }
-    for (ForkTolerantThread& t : threads) t.join();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int fd : queue_) close(fd);
-    queue_.clear();
-  }
-
-  int port() const { return bound_port_; }
-
-  GatewayStats stats() const {
-    GatewayStats s;
-    s.connections = connections_.load(std::memory_order_relaxed);
-    s.requests = requests_.load(std::memory_order_relaxed);
-    s.rejected_overload = rejected_overload_.load(std::memory_order_relaxed);
-    s.bad_requests = bad_requests_.load(std::memory_order_relaxed);
-    s.oversized = oversized_.load(std::memory_order_relaxed);
-    s.timeouts = timeouts_.load(std::memory_order_relaxed);
-    s.backend_errors = backend_errors_.load(std::memory_order_relaxed);
-    return s;
-  }
-
- private:
-  // -------------------------------------------------------------------------
-  // Accept with a hard connection bound (the HTTP analogue of the daemon's
-  // admission queue: beyond the limit the client gets a typed 503 now, not
-  // a silent stall).
-
-  void AcceptLoop() {
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      const int fd = accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (stopping_.load(std::memory_order_relaxed)) {
-        close(fd);
-        break;
-      }
-      connections_.fetch_add(1, std::memory_order_relaxed);
-      SetSocketTimeouts(fd, options_.io_timeout_seconds);
-      bool admitted = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (queue_.size() + active_fds_.size() <
-            static_cast<size_t>(options_.max_connections)) {
-          queue_.push_back(fd);
-          admitted = true;
-          queue_cv_.notify_one();
-        }
-      }
-      if (!admitted) {
-        rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-        const std::string body =
-            "{\"status\":\"BUSY\",\"error\":\"gateway connection limit (" +
-            std::to_string(options_.max_connections) +
-            ") reached; retry with backoff\"}";
-        // The accept-time 503 carries the same Retry-After hint the daemon
-        // attaches to its own transient rejections; clients treat both
-        // identically.
-        const std::string resp = EncodeHttpResponse(
-            503, kJsonType, body, false, {{"Retry-After", "1"}});
-        (void)send(fd, resp.data(), resp.size(), MSG_NOSIGNAL);
-        close(fd);
-      }
-    }
-  }
-
-  void WorkerLoop() {
-    for (;;) {
-      int fd = -1;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        queue_cv_.wait(lock, [this] {
-          return stopping_.load(std::memory_order_relaxed) || !queue_.empty();
-        });
-        if (queue_.empty()) return;  // Stopping and drained.
-        fd = queue_.front();
-        queue_.pop_front();
-        active_fds_.insert(fd);
-      }
-      ServeConnection(fd);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        active_fds_.erase(fd);
-      }
-      close(fd);
-      if (stopping_.load(std::memory_order_relaxed)) return;
-    }
-  }
-
-  // Sends a response; false on socket error (peer gone).
-  bool Send(
-      int fd, int status, const std::string& body, bool keep_alive,
-      const char* content_type = kJsonType,
-      const std::vector<std::pair<std::string, std::string>>& extra_headers =
-          {}) {
-    const std::string resp = EncodeHttpResponse(status, content_type, body,
-                                                keep_alive, extra_headers);
-    size_t off = 0;
-    while (off < resp.size()) {
-      const ssize_t n =
-          send(fd, resp.data() + off, resp.size() - off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  static std::string ErrorBody(const char* status_name,
-                               const std::string& detail) {
-    return std::string("{\"status\":\"") + status_name + "\",\"error\":\"" +
-           JsonEscape(detail) + "\"}";
-  }
-
-  void ServeConnection(int fd) {
+  void Serve() {
+    const HttpLimits limits;
     std::string buf;
-    auto request_start = std::chrono::steady_clock::now();
+    WallTimer request_timer;
     bool mid_request = false;
     for (;;) {
       // Drain complete requests already buffered (pipelined or keep-alive).
@@ -565,13 +423,13 @@ class Gateway::Impl {
         HttpRequest request;
         size_t consumed = 0;
         std::string perr;
-        const HttpParseStatus ps = ParseHttpRequest(
-            buf, options_.limits, &request, &consumed, &perr);
+        const HttpParseStatus ps =
+            ParseHttpRequest(buf, limits, &request, &consumed, &perr);
         if (ps == HttpParseStatus::kIncomplete) {
           mid_request = !buf.empty();
           break;
         }
-        requests_.fetch_add(1, std::memory_order_relaxed);
+        Count(counters_->requests);
         if (ps != HttpParseStatus::kComplete) {
           // Typed rejection, then hang up: after a framing violation there
           // is no trustworthy request boundary left.
@@ -579,42 +437,30 @@ class Gateway::Impl {
           if (ps == HttpParseStatus::kTooLarge) status = 431;
           if (ps == HttpParseStatus::kBodyTooLarge) status = 413;
           if (ps == HttpParseStatus::kUnsupported) status = 501;
-          (status == 413 ? oversized_ : bad_requests_)
-              .fetch_add(1, std::memory_order_relaxed);
-          (void)Send(fd, status, ErrorBody("BAD_REQUEST", perr), false);
+          Count(status == 413 ? counters_->oversized : counters_->bad_requests);
+          (void)Send(status, ErrorBody("BAD_REQUEST", perr), false);
           return;
         }
         buf.erase(0, consumed);
-        const bool keep_alive =
-            request.KeepAlive() && !stopping_.load(std::memory_order_relaxed);
-        if (!HandleRequest(fd, request, keep_alive)) return;
+        const bool keep_alive = request.KeepAlive() && !closing_();
+        if (!Route(request, keep_alive)) return;
         if (!keep_alive) return;
-        request_start = std::chrono::steady_clock::now();
+        request_timer.Restart();
         mid_request = !buf.empty();
       }
       // Need more bytes. The per-recv socket timeout plus this wall check
       // bounds how long a drip-fed (slowloris) request can hold the worker.
-      if (ElapsedSeconds(request_start) > options_.io_timeout_seconds) {
-        if (mid_request) {
-          timeouts_.fetch_add(1, std::memory_order_relaxed);
-          (void)Send(fd, 408,
-                     ErrorBody("BAD_REQUEST",
-                               "request not completed in time"),
-                     false);
-        }
+      if (request_timer.Seconds() > io_timeout_seconds_) {
+        if (mid_request) RequestTimeout();
         return;
       }
       char chunk[16 * 1024];
-      const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
+      const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
       if (n == 0) return;  // Peer closed.
       if (n < 0) {
         if (errno == EINTR) continue;
         if ((errno == EAGAIN || errno == EWOULDBLOCK) && mid_request) {
-          timeouts_.fetch_add(1, std::memory_order_relaxed);
-          (void)Send(fd, 408,
-                     ErrorBody("BAD_REQUEST",
-                               "request not completed in time"),
-                     false);
+          RequestTimeout();
         }
         return;
       }
@@ -622,247 +468,188 @@ class Gateway::Impl {
     }
   }
 
-  // One GAF1 round trip over a fresh backend connection. The gateway tags
-  // the request as HTTP transport for the daemon's per-transport counters.
-  Result<Response> CallBackend(Request request) {
-    request.transport = Transport::kHttp;
-    auto client = Client::Connect(options_.backend);
-    if (!client.ok()) return client.status();
-    return client->Call(request);
+ private:
+  static void Count(std::atomic<uint64_t>& counter) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  bool Send(int status, const std::string& body, bool keep_alive,
+            const char* content_type = kJsonType) {
+    return SendAll(fd_, EncodeHttpResponse(status, content_type, body,
+                                           keep_alive));
+  }
+
+  void RequestTimeout() {
+    Count(counters_->timeouts);
+    (void)Send(408, ErrorBody("BAD_REQUEST", "request not completed in time"),
+               false);
   }
 
   // Routes one parsed request; false when the socket died mid-response.
-  bool HandleRequest(int fd, const HttpRequest& request, bool keep_alive) {
+  bool Route(const HttpRequest& request, bool keep_alive) {
     // Strip any query string: routing is path-only.
     std::string path = request.target;
     const size_t q = path.find('?');
     if (q != std::string::npos) path.resize(q);
 
     if (path == "/healthz") {
-      if (request.method != "GET") return MethodNotAllowed(fd, keep_alive);
+      if (request.method != "GET") return MethodNotAllowed(keep_alive);
       Request ping;
       ping.type = RequestType::kPing;
-      auto response = CallBackend(std::move(ping));
-      if (!response.ok() || response->code != ResponseCode::kOk) {
-        if (!response.ok()) {
-          backend_errors_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return Send(fd, 503,
-                    ErrorBody("ERROR", !response.ok()
-                                           ? response.status().ToString()
-                                           : response->message),
-                    keep_alive);
+      const Response response = call_(std::move(ping));
+      if (response.code != ResponseCode::kOk) {
+        return Send(503, ErrorBody("ERROR", response.message), keep_alive);
       }
-      return Send(fd, 200, "ok\n", keep_alive, "text/plain");
+      return Send(200, "ok\n", keep_alive, "text/plain");
     }
     if (path == "/stats") {
-      if (request.method != "GET") return MethodNotAllowed(fd, keep_alive);
-      return HandleStats(fd, keep_alive);
+      if (request.method != "GET") return MethodNotAllowed(keep_alive);
+      return HandleStats(keep_alive);
     }
     if (path == "/v1/graphs") {
-      if (request.method != "POST") return MethodNotAllowed(fd, keep_alive);
-      return HandlePutGraph(fd, request, keep_alive);
+      if (request.method != "POST") return MethodNotAllowed(keep_alive);
+      return HandlePutGraph(request, keep_alive);
     }
     if (path.rfind("/v1/graphs/", 0) == 0) {
-      if (request.method != "GET") return MethodNotAllowed(fd, keep_alive);
-      return HandleHasGraph(fd, path.substr(strlen("/v1/graphs/")),
-                            keep_alive);
+      if (request.method != "GET") return MethodNotAllowed(keep_alive);
+      return HandleHasGraph(path.substr(strlen("/v1/graphs/")), keep_alive);
     }
     if (path == "/v1/align") {
-      if (request.method != "POST") return MethodNotAllowed(fd, keep_alive);
-      return HandleAlign(fd, request, keep_alive);
+      if (request.method != "POST") return MethodNotAllowed(keep_alive);
+      return HandleAlign(request, keep_alive);
     }
     if (path == "/v1/jobs") {
-      if (request.method != "POST") return MethodNotAllowed(fd, keep_alive);
-      return HandleSubmitJob(fd, request, keep_alive);
+      if (request.method != "POST") return MethodNotAllowed(keep_alive);
+      return HandleSubmitJob(request, keep_alive);
     }
     if (path.rfind("/v1/jobs/", 0) == 0) {
       const std::string id_name = path.substr(strlen("/v1/jobs/"));
-      if (request.method == "GET") {
-        return HandleJobStatus(fd, id_name, keep_alive);
-      }
+      if (request.method == "GET") return HandleJobStatus(id_name, keep_alive);
       if (request.method == "DELETE") {
-        return HandleCancelJob(fd, id_name, keep_alive);
+        return HandleCancelJob(id_name, keep_alive);
       }
-      return MethodNotAllowed(fd, keep_alive);
+      return MethodNotAllowed(keep_alive);
     }
     if (path == "/v1/align:batch") {
-      if (request.method != "POST") return MethodNotAllowed(fd, keep_alive);
-      return HandleAlignBatch(fd, request, keep_alive);
+      if (request.method != "POST") return MethodNotAllowed(keep_alive);
+      return HandleAlignBatch(request, keep_alive);
     }
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Send(fd, 404, ErrorBody("BAD_REQUEST", "no such route: " + path),
+    Count(counters_->bad_requests);
+    return Send(404, ErrorBody("BAD_REQUEST", "no such route: " + path),
                 keep_alive);
   }
 
-  bool MethodNotAllowed(int fd, bool keep_alive) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Send(fd, 405,
+  bool MethodNotAllowed(bool keep_alive) {
+    Count(counters_->bad_requests);
+    return Send(405,
                 ErrorBody("BAD_REQUEST", "method not allowed on this route"),
                 keep_alive);
   }
 
-  bool BadJson(int fd, const std::string& detail, bool keep_alive) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Send(fd, 400, ErrorBody("BAD_REQUEST", detail), keep_alive);
+  bool BadJson(const std::string& detail, bool keep_alive) {
+    Count(counters_->bad_requests);
+    return Send(400, ErrorBody("BAD_REQUEST", detail), keep_alive);
   }
 
-  bool BackendDown(int fd, const Status& status, bool keep_alive) {
-    backend_errors_.fetch_add(1, std::memory_order_relaxed);
-    return Send(fd, 503,
-                ErrorBody("ERROR", "daemon unreachable: " + status.ToString()),
-                keep_alive);
-  }
-
-  // The shared tail of every forwarded call: map the typed ResponseCode to
-  // an HTTP status and attach the standard envelope fields.
-  bool SendDaemonResponse(int fd, const Response& response, JsonValue body,
+  bool SendDaemonResponse(const Response& response, JsonValue body,
                           bool keep_alive) {
-    body.Set("status", JsonValue::Str(ResponseCodeName(response.code)));
-    body.Set("cache_hit", JsonValue::Bool(response.cache_hit));
-    body.Set("elapsed_us",
-             JsonValue::Number(static_cast<double>(response.elapsed_us)));
-    if (!response.message.empty()) {
-      body.Set("error", JsonValue::Str(response.message));
-    }
-    const int status = HttpStatusForResponseCode(response.code);
-    std::vector<std::pair<std::string, std::string>> extra;
-    if (response.retry_after_ms > 0 && (status == 429 || status == 503)) {
-      // Retry-After is delta-seconds; round up so a 250ms hint never
-      // becomes "retry immediately". The exact millisecond hint rides in
-      // the body for clients that want the finer grain.
-      extra.emplace_back(
-          "Retry-After", std::to_string((response.retry_after_ms + 999) / 1000));
-      body.Set("retry_after_ms",
-               JsonValue::Number(static_cast<double>(response.retry_after_ms)));
-    }
-    return Send(fd, status, body.Dump(), keep_alive, kJsonType, extra);
+    return SendAll(fd_,
+                   EncodeDaemonResponse(response, std::move(body), keep_alive));
   }
 
-  bool HandleStats(int fd, bool keep_alive) {
+  bool HandleStats(bool keep_alive) {
     Request req;
     req.type = RequestType::kServerStats;
-    auto response = CallBackend(std::move(req));
+    const Response response = call_(std::move(req));
     JsonValue out = JsonValue::Object();
-    JsonValue gw = JsonValue::Object();
-    const GatewayStats s = stats();
-    gw.Set("connections", JsonValue::Number(static_cast<double>(s.connections)));
-    gw.Set("requests", JsonValue::Number(static_cast<double>(s.requests)));
-    gw.Set("rejected_overload",
-           JsonValue::Number(static_cast<double>(s.rejected_overload)));
-    gw.Set("bad_requests",
-           JsonValue::Number(static_cast<double>(s.bad_requests)));
-    gw.Set("oversized", JsonValue::Number(static_cast<double>(s.oversized)));
-    gw.Set("timeouts", JsonValue::Number(static_cast<double>(s.timeouts)));
-    gw.Set("backend_errors",
-           JsonValue::Number(static_cast<double>(s.backend_errors)));
-    out.Set("gateway", std::move(gw));
-    if (!response.ok()) {
-      backend_errors_.fetch_add(1, std::memory_order_relaxed);
-      out.Set("status", JsonValue::Str("ERROR"));
-      out.Set("error", JsonValue::Str("daemon unreachable: " +
-                                      response.status().ToString()));
-      return Send(fd, 503, out.Dump(), keep_alive);
-    }
-    auto decoded = DecodeServerStatsResult(response->body);
-    if (response->code != ResponseCode::kOk || !decoded.ok()) {
-      out.Set("status", JsonValue::Str(ResponseCodeName(response->code)));
-      out.Set("error", JsonValue::Str(response->message));
-      return Send(fd, HttpStatusForResponseCode(response->code), out.Dump(),
+    out.Set("gateway", CountersJson(*counters_));
+    auto decoded = DecodeServerStatsResult(response.body);
+    if (response.code != ResponseCode::kOk || !decoded.ok()) {
+      out.Set("status", JsonValue::Str(ResponseCodeName(response.code)));
+      out.Set("error", JsonValue::Str(response.message));
+      return Send(HttpStatusForResponseCode(response.code), out.Dump(),
                   keep_alive);
     }
     JsonStatsWriter daemon;
     Fields(daemon, *decoded);
     out.Set("daemon", daemon.Take());
     out.Set("status", JsonValue::Str("OK"));
-    return Send(fd, 200, out.Dump(), keep_alive);
+    return Send(200, out.Dump(), keep_alive);
   }
 
-  bool HandlePutGraph(int fd, const HttpRequest& request, bool keep_alive) {
+  bool HandlePutGraph(const HttpRequest& request, bool keep_alive) {
     auto parsed = ParseJson(request.body);
-    if (!parsed.ok()) {
-      return BadJson(fd, parsed.status().ToString(), keep_alive);
-    }
+    if (!parsed.ok()) return BadJson(parsed.status().ToString(), keep_alive);
     Request req;
     req.type = RequestType::kPutGraph;
     std::string err;
     if (!ParseClient(*parsed, &req.client, &err) ||
         !ParseWireGraphJson(*parsed, &req.put_graph.g, &err)) {
-      return BadJson(fd, err, keep_alive);
+      return BadJson(err, keep_alive);
     }
-    auto response = CallBackend(std::move(req));
-    if (!response.ok()) return BackendDown(fd, response.status(), keep_alive);
+    const Response response = call_(std::move(req));
     JsonValue body = JsonValue::Object();
-    if (response->code == ResponseCode::kOk) {
-      auto result = DecodePutGraphResult(response->body);
+    if (response.code == ResponseCode::kOk) {
+      auto result = DecodePutGraphResult(response.body);
       if (result.ok()) {
         body.Set("hash", JsonValue::Str(GraphStore::HashName(
                              result->content_hash)));
         body.Set("already_present", JsonValue::Bool(result->already_present));
       }
     }
-    return SendDaemonResponse(fd, *response, std::move(body), keep_alive);
+    return SendDaemonResponse(response, std::move(body), keep_alive);
   }
 
-  bool HandleHasGraph(int fd, const std::string& hash_name, bool keep_alive) {
+  bool HandleHasGraph(const std::string& hash_name, bool keep_alive) {
     auto hash = GraphStore::ParseHashName(hash_name);
-    if (!hash.ok()) {
-      return BadJson(fd, hash.status().ToString(), keep_alive);
-    }
+    if (!hash.ok()) return BadJson(hash.status().ToString(), keep_alive);
     Request req;
     req.type = RequestType::kHasGraph;
     req.has_graph.hash = *hash;
-    auto response = CallBackend(std::move(req));
-    if (!response.ok()) return BackendDown(fd, response.status(), keep_alive);
+    const Response response = call_(std::move(req));
     JsonValue body = JsonValue::Object();
     body.Set("hash", JsonValue::Str(hash_name));
-    bool present = false;
-    if (response->code == ResponseCode::kOk) {
-      auto result = DecodeHasGraphResult(response->body);
-      present = result.ok() && result->present;
+    if (response.code == ResponseCode::kOk) {
+      auto result = DecodeHasGraphResult(response.body);
+      const bool present = result.ok() && result->present;
       body.Set("present", JsonValue::Bool(present));
       if (!present) {
         // An absent graph is a 404 with a well-formed body, mirroring
         // NO_GRAPH on the align path.
         body.Set("status", JsonValue::Str("NO_GRAPH"));
-        return Send(fd, 404, body.Dump(), keep_alive);
+        return Send(404, body.Dump(), keep_alive);
       }
     }
-    return SendDaemonResponse(fd, *response, std::move(body), keep_alive);
+    return SendDaemonResponse(response, std::move(body), keep_alive);
   }
 
-  bool HandleAlign(int fd, const HttpRequest& request, bool keep_alive) {
+  bool HandleAlign(const HttpRequest& request, bool keep_alive) {
     auto parsed = ParseJson(request.body);
-    if (!parsed.ok()) {
-      return BadJson(fd, parsed.status().ToString(), keep_alive);
-    }
+    if (!parsed.ok()) return BadJson(parsed.status().ToString(), keep_alive);
     Request req;
     std::string err;
     if (!BuildAlignRequest(*parsed, &req, &err)) {
-      return BadJson(fd, err, keep_alive);
+      return BadJson(err, keep_alive);
     }
-    auto response = CallBackend(std::move(req));
-    if (!response.ok()) return BackendDown(fd, response.status(), keep_alive);
+    const Response response = call_(std::move(req));
     JsonValue body = JsonValue::Object();
-    if (response->code == ResponseCode::kOk) {
-      auto result = DecodeAlignResult(response->body);
+    if (response.code == ResponseCode::kOk) {
+      auto result = DecodeAlignResult(response.body);
       if (result.ok()) body = AlignResultJson(*result);
     }
-    return SendDaemonResponse(fd, *response, std::move(body), keep_alive);
+    return SendDaemonResponse(response, std::move(body), keep_alive);
   }
 
   // POST /v1/jobs: the /v1/align JSON schema plus an optional "idem_key"
   // string. Accepted (or deduplicated) jobs come back 202 with the job
   // envelope; poll GET /v1/jobs/<id> for completion.
-  bool HandleSubmitJob(int fd, const HttpRequest& request, bool keep_alive) {
+  bool HandleSubmitJob(const HttpRequest& request, bool keep_alive) {
     auto parsed = ParseJson(request.body);
-    if (!parsed.ok()) {
-      return BadJson(fd, parsed.status().ToString(), keep_alive);
-    }
+    if (!parsed.ok()) return BadJson(parsed.status().ToString(), keep_alive);
     Request req;
     std::string err;
     if (!BuildAlignRequest(*parsed, &req, &err)) {
-      return BadJson(fd, err, keep_alive);
+      return BadJson(err, keep_alive);
     }
     // Re-target the parsed align at the async surface.
     req.type = RequestType::kSubmitJob;
@@ -872,90 +659,82 @@ class Gateway::Impl {
       if (!parsed->Get("idem_key").is_string() ||
           parsed->Get("idem_key").AsString().empty() ||
           parsed->Get("idem_key").AsString().size() > kMaxNameLen) {
-        return BadJson(fd, "\"idem_key\" must be a short non-empty string",
+        return BadJson("\"idem_key\" must be a short non-empty string",
                        keep_alive);
       }
       req.submit_job.idem_key = parsed->Get("idem_key").AsString();
     }
-    auto response = CallBackend(std::move(req));
-    if (!response.ok()) return BackendDown(fd, response.status(), keep_alive);
+    const Response response = call_(std::move(req));
     JsonValue body = JsonValue::Object();
-    if (response->code == ResponseCode::kAccepted) {
-      auto info = DecodeJobInfo(response->body);
+    if (response.code == ResponseCode::kAccepted) {
+      auto info = DecodeJobInfo(response.body);
       if (info.ok()) body = JobInfoJson(*info);
     }
-    return SendDaemonResponse(fd, *response, std::move(body), keep_alive);
+    return SendDaemonResponse(response, std::move(body), keep_alive);
   }
 
   // GET /v1/jobs/<16hex>: the job envelope; once the job is DONE the
   // response embeds the alignment result under "result", so one poll
   // both observes completion and retrieves the mapping.
-  bool HandleJobStatus(int fd, const std::string& id_name, bool keep_alive) {
+  bool HandleJobStatus(const std::string& id_name, bool keep_alive) {
     auto id = GraphStore::ParseHashName(id_name);
     if (!id.ok()) {
-      return BadJson(fd, "job id must be 16 hex digits: " + id_name,
-                     keep_alive);
+      return BadJson("job id must be 16 hex digits: " + id_name, keep_alive);
     }
     Request req;
     req.type = RequestType::kJobStatus;
     req.job_id.job_id = *id;
-    auto response = CallBackend(std::move(req));
-    if (!response.ok()) return BackendDown(fd, response.status(), keep_alive);
+    const Response response = call_(std::move(req));
     JsonValue body = JsonValue::Object();
-    if (response->code == ResponseCode::kOk) {
-      auto info = DecodeJobInfo(response->body);
+    if (response.code == ResponseCode::kOk) {
+      auto info = DecodeJobInfo(response.body);
       if (info.ok()) {
         body = JobInfoJson(*info);
         if (static_cast<JobState>(info->state) == JobState::kDone) {
           Request result_req;
           result_req.type = RequestType::kJobResult;
           result_req.job_id.job_id = *id;
-          auto result = CallBackend(std::move(result_req));
-          if (result.ok() && result->code == ResponseCode::kOk) {
-            auto align = DecodeAlignResult(result->body);
+          const Response result = call_(std::move(result_req));
+          if (result.code == ResponseCode::kOk) {
+            auto align = DecodeAlignResult(result.body);
             if (align.ok()) body.Set("result", AlignResultJson(*align));
           }
         }
       }
     }
-    return SendDaemonResponse(fd, *response, std::move(body), keep_alive);
+    return SendDaemonResponse(response, std::move(body), keep_alive);
   }
 
   // DELETE /v1/jobs/<16hex>: cancel. 200 with the (now CANCELLED)
   // envelope, 404 for an unknown id, 409 when the job already finished.
-  bool HandleCancelJob(int fd, const std::string& id_name, bool keep_alive) {
+  bool HandleCancelJob(const std::string& id_name, bool keep_alive) {
     auto id = GraphStore::ParseHashName(id_name);
     if (!id.ok()) {
-      return BadJson(fd, "job id must be 16 hex digits: " + id_name,
-                     keep_alive);
+      return BadJson("job id must be 16 hex digits: " + id_name, keep_alive);
     }
     Request req;
     req.type = RequestType::kCancelJob;
     req.job_id.job_id = *id;
-    auto response = CallBackend(std::move(req));
-    if (!response.ok()) return BackendDown(fd, response.status(), keep_alive);
+    const Response response = call_(std::move(req));
     JsonValue body = JsonValue::Object();
-    if (response->code == ResponseCode::kOk) {
-      auto info = DecodeJobInfo(response->body);
+    if (response.code == ResponseCode::kOk) {
+      auto info = DecodeJobInfo(response.body);
       if (info.ok()) body = JobInfoJson(*info);
     }
-    return SendDaemonResponse(fd, *response, std::move(body), keep_alive);
+    return SendDaemonResponse(response, std::move(body), keep_alive);
   }
 
-  bool HandleAlignBatch(int fd, const HttpRequest& request, bool keep_alive) {
+  bool HandleAlignBatch(const HttpRequest& request, bool keep_alive) {
     auto parsed = ParseJson(request.body);
-    if (!parsed.ok()) {
-      return BadJson(fd, parsed.status().ToString(), keep_alive);
-    }
+    if (!parsed.ok()) return BadJson(parsed.status().ToString(), keep_alive);
     Request req;
     std::string err;
     if (!BuildBatchRequest(*parsed, &req, &err)) {
-      return BadJson(fd, err, keep_alive);
+      return BadJson(err, keep_alive);
     }
-    auto response = CallBackend(std::move(req));
-    if (!response.ok()) return BackendDown(fd, response.status(), keep_alive);
+    const Response response = call_(std::move(req));
     JsonValue body = JsonValue::Object();
-    auto result = DecodeAlignBatchResult(response->body);
+    auto result = DecodeAlignBatchResult(response.body);
     if (result.ok()) {
       body.Set("graph_loads",
                JsonValue::Number(static_cast<double>(result->graph_loads)));
@@ -975,45 +754,28 @@ class Gateway::Impl {
       }
       body.Set("jobs", std::move(jobs));
     }
-    return SendDaemonResponse(fd, *response, std::move(body), keep_alive);
+    return SendDaemonResponse(response, std::move(body), keep_alive);
   }
 
-  const GatewayOptions options_;
-  int listen_fd_ = -1;
-  int bound_port_ = -1;
-
-  std::atomic<bool> stopping_{false};
-  mutable std::mutex mu_;
-  std::condition_variable queue_cv_;
-  std::deque<int> queue_;
-  std::unordered_set<int> active_fds_;
-  // Workers and accept: socket shuffling only, so fork-tolerant by the same
-  // argument as the daemon's threads (common/subprocess.h).
-  std::vector<ForkTolerantThread> threads_;
-
-  std::atomic<uint64_t> connections_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> rejected_overload_{0};
-  std::atomic<uint64_t> bad_requests_{0};
-  std::atomic<uint64_t> oversized_{0};
-  std::atomic<uint64_t> timeouts_{0};
-  std::atomic<uint64_t> backend_errors_{0};
+  const int fd_;
+  const double io_timeout_seconds_;
+  HttpCounters* const counters_;
+  const std::function<bool()>& closing_;
+  const std::function<Response(Request)>& call_;
 };
 
-Gateway::Gateway(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
-Gateway::~Gateway() = default;
+}  // namespace
 
-Result<std::unique_ptr<Gateway>> Gateway::Create(
-    const GatewayOptions& options) {
-  auto impl = std::make_unique<Impl>(options);
-  GA_RETURN_IF_ERROR(impl->Bind());
-  return std::unique_ptr<Gateway>(new Gateway(std::move(impl)));
+void ServeHttpConnection(int fd, double io_timeout_seconds,
+                         HttpCounters* counters,
+                         const std::function<bool()>& closing,
+                         const std::function<Response(Request)>& call) {
+  HttpSession(fd, io_timeout_seconds, counters, closing, call).Serve();
 }
 
-Status Gateway::Start() { return impl_->Start(); }
-void Gateway::Shutdown() { impl_->Shutdown(); }
-void Gateway::Wait() { impl_->Wait(); }
-int Gateway::port() const { return impl_->port(); }
-GatewayStats Gateway::stats() const { return impl_->stats(); }
+void SendHttpRejection(int fd, const Response& response) {
+  (void)SendAll(fd, EncodeDaemonResponse(response, JsonValue::Object(),
+                                         /*keep_alive=*/false));
+}
 
 }  // namespace graphalign

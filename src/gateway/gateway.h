@@ -1,17 +1,19 @@
-// Embedded HTTP/JSON gateway in front of the alignment daemon
-// (DESIGN.md §16).
+// The HTTP/JSON front end of the alignment daemon (DESIGN.md §16).
 //
-// The gateway is an HTTP/1.1 server (gateway/http.h) that translates JSON
-// requests into GAF1 calls against a running daemon and maps the typed
-// ResponseCode taxonomy onto HTTP statuses. It deliberately runs as a
-// *client* of the daemon — even when both live in one process (`serve
-// --http-port`) — so admission control, per-client quotas, shedding,
-// quarantine, the result cache, and the stats counters apply to HTTP
-// traffic unchanged, with zero parallel enforcement paths.
+// `serve --http-port N` makes the daemon listen on a second, loopback TCP
+// port. HTTP connections are accepted by the daemon's own accept loop, wait
+// in the same admission queue as GAF1 connections, and are served by the
+// same workers (server/server.h). This module holds only the HTTP side of
+// a connection: ServeHttpConnection parses requests (gateway/http.h),
+// translates their JSON into protocol Requests, hands each to the daemon
+// in process through `call`, and maps the typed ResponseCode back onto an
+// HTTP status. It opens no socket and starts no thread; quotas, shedding,
+// quarantine, the watchdog, the result cache and the per-transport counters
+// therefore apply to HTTP traffic through the one path GAF1 uses.
 //
 // Routes:
-//   GET  /healthz              daemon ping → 200 "ok" | 503
-//   GET  /stats                daemon kServerStats + gateway counters, JSON
+//   GET  /healthz              kPing → 200 "ok" | 503
+//   GET  /stats                kServerStats + HTTP counters, JSON
 //   POST /v1/graphs            {"n","edges"} → kPutGraph → {"hash",...}
 //   GET  /v1/graphs/<16hex>    kHasGraph → 200 | 404
 //   POST /v1/align             JSON align job (inline or *_hash) → kAlign
@@ -26,87 +28,60 @@
 //   OK→200  ACCEPTED→202  PARTIAL→207  BAD_REQUEST→400
 //   NO_GRAPH/NO_JOB→404  BUSY→429  SHED/SHUTTING_DOWN→503  DNF→504
 //   QUARANTINED/CONFLICT→409  ERROR/CRASH/OOM/NUMERICAL→500
-// plus gateway-local 400 (bad HTTP/JSON), 404 (unknown route), 405, 408
-// (idle/slowloris timeout), 413 (body cap), 431 (head cap), 501
-// (unsupported framing), 503 (connection limit).
+// plus HTTP-local 400 (bad HTTP/JSON), 404 (unknown route), 405, 408
+// (idle/slowloris timeout), 413 (body cap), 431 (head cap) and 501
+// (unsupported framing). A connection the daemon turns away before any
+// request is read (full admission queue, drain) gets the same mapping
+// through SendHttpRejection: 429 BUSY or 503 SHUTTING_DOWN.
 //
-// Transient rejections (429 quota, 503 busy/shed/drain, and the gateway's
-// own accept-time 503) carry a Retry-After header (delta-seconds, rounded
-// up) plus "retry_after_ms" in the body — the server-side backoff hint
-// `submit --retries` honors over its jitter schedule.
+// Transient rejections (429 busy/quota, 503 shed/drain) carry a
+// Retry-After header (delta-seconds, rounded up) plus "retry_after_ms" in
+// the body — the server-side backoff hint `submit --retries` honors over
+// its jitter schedule.
 #ifndef GRAPHALIGN_GATEWAY_GATEWAY_H_
 #define GRAPHALIGN_GATEWAY_GATEWAY_H_
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <functional>
 
 #include "common/status.h"
 #include "gateway/http.h"
 #include "gateway/json.h"
-#include "server/client.h"
 #include "server/protocol.h"
 
 namespace graphalign {
 
-struct GatewayOptions {
-  // TCP port to serve HTTP on (loopback only). 0 = kernel-assigned; read
-  // the bound port back with port().
-  int http_port = 0;
-
-  // How to reach the daemon (server/client.h). Every HTTP request becomes
-  // one GAF1 call over a fresh backend connection.
-  ClientOptions backend;
-
-  int workers = 4;
-
-  // Admission bound shared by the queue and the workers: connections
-  // beyond this many queued-or-in-flight are answered 503 at accept time,
-  // the HTTP analogue of the daemon's typed BUSY.
-  int max_connections = 64;
-
-  // Per-connection socket timeout; also the budget for reading one full
-  // request head, so a slowloris drip cannot hold a worker (408).
-  double io_timeout_seconds = 10.0;
-
-  // Parser caps (413/431). max_body_bytes must admit the largest inline
-  // batch a client may legitimately send.
-  HttpLimits limits;
+// HTTP-side counters, surfaced under "gateway" in GET /stats. The daemon
+// owns them; its accept loop counts connections and queue refusals, and
+// ServeHttpConnection counts the rest.
+struct HttpCounters {
+  std::atomic<uint64_t> connections{0};        // Accepted HTTP sockets.
+  std::atomic<uint64_t> requests{0};           // Requests answered (any status).
+  std::atomic<uint64_t> rejected_overload{0};  // Refused by the full queue.
+  std::atomic<uint64_t> bad_requests{0};       // 400/404/405/431/501.
+  std::atomic<uint64_t> oversized{0};          // 413 (body cap).
+  std::atomic<uint64_t> timeouts{0};           // 408 (idle / slow request).
 };
 
-// HTTP-side counters, surfaced under "gateway" in GET /stats. These count
-// what the daemon cannot see: connections turned away before any GAF1
-// call existed.
-struct GatewayStats {
-  uint64_t connections = 0;        // Accepted sockets.
-  uint64_t requests = 0;           // HTTP requests answered (any status).
-  uint64_t rejected_overload = 0;  // 503 at accept (connection limit).
-  uint64_t bad_requests = 0;       // 400/431/501 from the HTTP parser.
-  uint64_t oversized = 0;          // 413 (body cap).
-  uint64_t timeouts = 0;           // 408 (idle / slow request).
-  uint64_t backend_errors = 0;     // GAF1 call failed (daemon unreachable).
-};
+// Serves one accepted HTTP connection until the peer closes, a request
+// asks for Connection: close, a framing error or timeout ends it, or
+// `closing()` turns true (the daemon is stopping or draining: the request
+// in hand is answered, then the connection closes). Keep-alive and
+// pipelined requests are answered in order. `io_timeout_seconds` bounds
+// how long one request may take to arrive (408). `call` runs a Request in
+// the daemon and returns its Response. Returns when the connection is
+// done; the caller owns and closes `fd`.
+void ServeHttpConnection(int fd, double io_timeout_seconds,
+                         HttpCounters* counters,
+                         const std::function<bool()>& closing,
+                         const std::function<Response(Request)>& call);
 
-class Gateway {
- public:
-  static Result<std::unique_ptr<Gateway>> Create(const GatewayOptions& options);
-  ~Gateway();
-
-  Gateway(const Gateway&) = delete;
-  Gateway& operator=(const Gateway&) = delete;
-
-  Status Start();
-  void Shutdown();  // Stop accepting, cut live connections.
-  void Wait();      // Join all threads.
-
-  int port() const;  // Bound HTTP port.
-  GatewayStats stats() const;
-
- private:
-  class Impl;
-  explicit Gateway(std::unique_ptr<Impl> impl);
-  std::unique_ptr<Impl> impl_;
-};
+// Writes `response` as a complete HTTP reply with Connection: close: the
+// status from HttpStatusForResponseCode, the {"status","error"} JSON body,
+// and Retry-After when the response carries a backoff hint. Best effort —
+// used to turn a connection away before any request was read.
+void SendHttpRejection(int fd, const Response& response);
 
 // The HTTP status for a daemon response code (the table above). Exposed
 // for tests and the CLI so the mapping is pinned in exactly one place.

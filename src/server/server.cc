@@ -1,6 +1,8 @@
 #include "server/server.h"
 
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -29,6 +31,7 @@
 #include "common/subprocess.h"
 #include "common/timer.h"
 #include "common/wire.h"
+#include "gateway/gateway.h"
 #include "jobs/manager.h"
 #include "metrics/metrics.h"
 #include "server/protocol.h"
@@ -176,8 +179,13 @@ bool DecodeChildOutcome(std::string_view payload, Response* response) {
 
 class Server::Impl {
  private:
+  // Which listening socket a connection arrived on, and so which protocol
+  // its worker speaks on it.
+  enum class Listener { kGaf1, kHttp };
+
   struct QueueEntry {
-    int fd;
+    int fd = -1;
+    Listener listener = Listener::kGaf1;
     std::chrono::steady_clock::time_point enqueued;
   };
 
@@ -213,6 +221,7 @@ class Server::Impl {
     Shutdown();
     Wait();
     if (listen_fd_ >= 0) close(listen_fd_);
+    if (http_fd_ >= 0) close(http_fd_);
     if (!bound_socket_path_.empty()) unlink(bound_socket_path_.c_str());
   }
 
@@ -231,8 +240,14 @@ class Server::Impl {
     if (options_.cache_mb <= 0.0) {
       return Status::InvalidArgument("server: cache capacity must be positive");
     }
-    if (!options_.socket_path.empty()) return BindUnix();
-    return BindTcp();
+    GA_RETURN_IF_ERROR(options_.socket_path.empty()
+                           ? BindTcp(options_.port, &listen_fd_, &bound_port_)
+                           : BindUnix());
+    if (options_.http_port >= 0) {
+      GA_RETURN_IF_ERROR(
+          BindTcp(options_.http_port, &http_fd_, &bound_http_port_));
+    }
+    return Status::Ok();
   }
 
   Status Start() {
@@ -352,9 +367,9 @@ class Server::Impl {
     bool expected = false;
     if (!stopping_.compare_exchange_strong(expected, true)) return;
     if (jobs_ != nullptr) jobs_->Stop();  // Wake idle job runners to exit.
-    // Unblock accept(); the fd itself is closed in the destructor so the
-    // accept thread never races a reused descriptor number.
-    if (listen_fd_ >= 0) shutdown(listen_fd_, SHUT_RDWR);
+    // Wake the accept loop; the fds themselves are closed in the destructor
+    // so the accept thread never races a reused descriptor number.
+    StopListening();
     std::lock_guard<std::mutex> lock(mu_);
     // Cut off idle-but-open and queued connections so workers notice.
     for (int fd : active_fds_) shutdown(fd, SHUT_RDWR);
@@ -368,7 +383,7 @@ class Server::Impl {
     if (!draining_.compare_exchange_strong(expected, true)) return;
     if (stopping_.load(std::memory_order_relaxed)) return;  // Already harder.
     // Stop accepting; in-flight requests keep their sockets and finish.
-    if (listen_fd_ >= 0) shutdown(listen_fd_, SHUT_RDWR);
+    StopListening();
     // Everyone still waiting for a worker gets a typed answer, not silence.
     std::deque<QueueEntry> waiting;
     {
@@ -377,13 +392,8 @@ class Server::Impl {
       queue_cv_.notify_all();  // Idle workers see draining + empty queue.
       watchdog_cv_.notify_all();
     }
-    Response shutting_down;
-    shutting_down.code = ResponseCode::kShuttingDown;
-    shutting_down.message = "server draining; resubmit to a live instance";
-    shutting_down.retry_after_ms = kDrainRetryAfterMs;
-    const std::string frame = EncodeResponse(shutting_down);
     for (const QueueEntry& e : waiting) {
-      (void)WriteFrameToFd(e.fd, frame);
+      Reject(e.fd, e.listener, ShuttingDownResponse());
       close(e.fd);
     }
     // Seal the durable state: job runners stop claiming (in-flight jobs
@@ -420,6 +430,7 @@ class Server::Impl {
   }
 
   int port() const { return bound_port_; }
+  int http_port() const { return bound_http_port_; }
 
   ResultCache::Stats cache_stats() const { return cache_.GetStats(); }
 
@@ -521,7 +532,9 @@ class Server::Impl {
     return Status::Ok();
   }
 
-  Status BindTcp() {
+  // Binds a loopback TCP listener on `port` (0 = kernel-assigned) and
+  // reads the bound port back. Used for the GAF1 --port and the HTTP port.
+  static Status BindTcp(int port, int* fd_out, int* bound_port) {
     const int fd = socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) {
       return Status::Internal("socket() failed: " +
@@ -533,13 +546,12 @@ class Server::Impl {
     std::memset(&addr, 0, sizeof(addr));
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(options_.port));
+    addr.sin_port = htons(static_cast<uint16_t>(port));
     if (bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
         0) {
       const std::string detail = strerror(errno);
       close(fd);
-      return Status::Internal("bind(127.0.0.1:" +
-                              std::to_string(options_.port) +
+      return Status::Internal("bind(127.0.0.1:" + std::to_string(port) +
                               ") failed: " + detail);
     }
     if (listen(fd, 64) != 0) {
@@ -550,64 +562,126 @@ class Server::Impl {
     socklen_t len = sizeof(addr);
     if (getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) ==
         0) {
-      bound_port_ = ntohs(addr.sin_port);
+      *bound_port = ntohs(addr.sin_port);
     }
-    listen_fd_ = fd;
+    *fd_out = fd;
     return Status::Ok();
   }
 
+  // Wakes the accept loop's poll and refuses further connections on every
+  // listener. Called after stopping_ or draining_ is set.
+  void StopListening() {
+    for (int fd : {listen_fd_, http_fd_}) {
+      if (fd >= 0) shutdown(fd, SHUT_RDWR);
+    }
+  }
+
+  static Response ShuttingDownResponse() {
+    Response response = ErrorResponse(
+        ResponseCode::kShuttingDown,
+        "server draining; resubmit to a live instance");
+    response.retry_after_ms = kDrainRetryAfterMs;
+    return response;
+  }
+
+  // The one way a connection is turned away without being served: a full
+  // admission queue (BUSY), a drain (SHUTTING_DOWN), or a worker that
+  // failed mid-request (ERROR). GAF1 peers get a response frame, HTTP
+  // peers the same Response as an HTTP reply (429/503/500 + Retry-After).
+  // Best effort; the caller closes the fd.
+  static void Reject(int fd, Listener listener, const Response& response) {
+    if (listener == Listener::kHttp) {
+      SendHttpRejection(fd, response);
+    } else {
+      (void)WriteFrameToFd(fd, EncodeResponse(response));
+    }
+  }
+
   // -------------------------------------------------------------------------
-  // Accept loop with admission control.
+  // Accept loop with admission control, over the GAF1 listener and (with
+  // http_port set) the HTTP listener. Both feed the one admission queue.
 
   void AcceptLoop() {
     // Accepting and turning away overload is queue-and-socket work only;
     // nothing an isolated child could depend on, so the thread is
     // fork-tolerant by the same argument as the workers.
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      const int fd = accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
+    std::vector<struct pollfd> fds;
+    std::vector<Listener> listeners;
+    for (const auto& [fd, listener] :
+         {std::pair{listen_fd_, Listener::kGaf1},
+          std::pair{http_fd_, Listener::kHttp}}) {
+      if (fd < 0) continue;
+      // Non-blocking, so a connection that vanishes between poll and
+      // accept cannot park the loop in accept().
+      fcntl(fd, F_SETFL, fcntl(fd, F_GETFL) | O_NONBLOCK);
+      fds.push_back({fd, POLLIN, 0});
+      listeners.push_back(listener);
+    }
+    while (!stopping_.load(std::memory_order_relaxed) &&
+           !draining_.load(std::memory_order_relaxed)) {
+      if (poll(fds.data(), fds.size(), -1) < 0) {
         if (errno == EINTR) continue;
-        break;  // Listening socket shut down (or a fatal accept error).
+        return;
       }
-      if (stopping_.load(std::memory_order_relaxed)) {
-        close(fd);
-        break;
-      }
-      SetSocketTimeouts(fd, options_.io_timeout_seconds);
-      if (draining_.load(std::memory_order_relaxed)) {
-        // Raced a drain: this connection was accepted but must not queue.
-        Response shutting_down;
-        shutting_down.code = ResponseCode::kShuttingDown;
-        shutting_down.message = "server draining; resubmit to a live instance";
-        shutting_down.retry_after_ms = kDrainRetryAfterMs;
-        (void)WriteFrameToFd(fd, EncodeResponse(shutting_down));
-        close(fd);
-        continue;
-      }
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-      bool admitted = false;
-      // The failpoint forces the BUSY path without actually filling the
-      // queue (for retry-round-trip tests).
-      if (!GA_FAILPOINT_FIRED("server.busy")) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (static_cast<int>(queue_.size()) < queue_capacity_) {
-          queue_.push_back(QueueEntry{fd, std::chrono::steady_clock::now()});
-          admitted = true;
-          queue_cv_.notify_one();
+      for (size_t i = 0; i < fds.size(); ++i) {
+        if (fds[i].revents == 0) continue;
+        // Accepted sockets do not inherit O_NONBLOCK on Linux.
+        const int fd = accept(fds[i].fd, nullptr, nullptr);
+        if (fd < 0) {
+          if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
+              errno == ECONNABORTED) {
+            continue;
+          }
+          return;  // Listening socket shut down (or a fatal accept error).
         }
+        Admit(fd, listeners[i]);
       }
-      if (!admitted) {
-        // Typed BUSY, then hang up. The frame is a few dozen bytes — it
-        // fits the socket send buffer, so this cannot stall the loop.
-        busy_rejected_.fetch_add(1, std::memory_order_relaxed);
-        Response busy;
-        busy.code = ResponseCode::kBusy;
-        busy.message = "admission queue full (" +
-                       std::to_string(queue_capacity_) + " waiting)";
-        busy.retry_after_ms = kBusyRetryAfterMs;
-        (void)WriteFrameToFd(fd, EncodeResponse(busy));
-        close(fd);
+    }
+  }
+
+  void Admit(int fd, Listener listener) {
+    if (stopping_.load(std::memory_order_relaxed)) {
+      close(fd);
+      return;
+    }
+    SetSocketTimeouts(fd, options_.io_timeout_seconds);
+    if (listener == Listener::kHttp) {
+      http_counters_.connections.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (draining_.load(std::memory_order_relaxed)) {
+      // Raced a drain: this connection was accepted but must not queue.
+      Reject(fd, listener, ShuttingDownResponse());
+      close(fd);
+      return;
+    }
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    bool admitted = false;
+    // The failpoint forces the BUSY path without actually filling the
+    // queue (for retry-round-trip tests).
+    if (!GA_FAILPOINT_FIRED("server.busy")) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (static_cast<int>(queue_.size()) < queue_capacity_) {
+        queue_.push_back(
+            QueueEntry{fd, listener, std::chrono::steady_clock::now()});
+        admitted = true;
+        queue_cv_.notify_one();
       }
+    }
+    if (!admitted) {
+      // Typed BUSY, then hang up. The reply is a few hundred bytes at most
+      // — it fits the socket send buffer, so this cannot stall the loop.
+      busy_rejected_.fetch_add(1, std::memory_order_relaxed);
+      if (listener == Listener::kHttp) {
+        http_counters_.rejected_overload.fetch_add(1,
+                                                   std::memory_order_relaxed);
+      }
+      Response busy = ErrorResponse(
+          ResponseCode::kBusy, "admission queue full (" +
+                                   std::to_string(queue_capacity_) +
+                                   " waiting)");
+      busy.retry_after_ms = kBusyRetryAfterMs;
+      Reject(fd, listener, busy);
+      close(fd);
     }
   }
 
@@ -619,8 +693,7 @@ class Server::Impl {
     // never touches the queue, the cache, or any server lock, which is what
     // makes this thread safe to fork under (see common/subprocess.h).
     for (;;) {
-      int fd = -1;
-      double queue_wait_ms = 0.0;
+      QueueEntry entry;
       {
         std::unique_lock<std::mutex> lock(mu_);
         queue_cv_.wait(lock, [this] {
@@ -628,37 +701,39 @@ class Server::Impl {
                  draining_.load(std::memory_order_relaxed) || !queue_.empty();
         });
         if (queue_.empty()) return;  // Stopping/draining and drained.
-        const QueueEntry entry = queue_.front();
+        entry = queue_.front();
         queue_.pop_front();
-        fd = entry.fd;
-        queue_wait_ms = ElapsedSeconds(entry.enqueued) * 1000.0;
-        active_fds_.insert(fd);
+        active_fds_.insert(entry.fd);
       }
+      const double queue_wait_ms = ElapsedSeconds(entry.enqueued) * 1000.0;
       // A worker failure between dequeue and reply must not leave the
       // client blocked on a response that will never come: whatever escapes
-      // ServeConnection is converted to a typed error frame (best effort)
+      // the connection's server is converted to a typed error (best effort)
       // before the socket closes.
       try {
         if (GA_FAILPOINT_FIRED("server.worker.drop")) {
           throw std::runtime_error("injected worker fault");
         }
-        ServeConnection(fd, slot, queue_wait_ms);
+        if (entry.listener == Listener::kHttp) {
+          ServeHttp(entry.fd, slot, queue_wait_ms);
+        } else {
+          ServeConnection(entry.fd, slot, queue_wait_ms);
+        }
       } catch (const std::exception& e) {
-        Response err;
-        err.code = ResponseCode::kError;
-        err.message = std::string("worker failed mid-request: ") + e.what();
-        (void)WriteFrameToFd(fd, EncodeResponse(err));
+        Reject(entry.fd, entry.listener,
+               ErrorResponse(ResponseCode::kError,
+                             std::string("worker failed mid-request: ") +
+                                 e.what()));
       } catch (...) {
-        Response err;
-        err.code = ResponseCode::kError;
-        err.message = "worker failed mid-request";
-        (void)WriteFrameToFd(fd, EncodeResponse(err));
+        Reject(entry.fd, entry.listener,
+               ErrorResponse(ResponseCode::kError,
+                             "worker failed mid-request"));
       }
       {
         std::lock_guard<std::mutex> lock(mu_);
-        active_fds_.erase(fd);
+        active_fds_.erase(entry.fd);
       }
-      close(fd);
+      close(entry.fd);
       if (stopping_.load(std::memory_order_relaxed)) return;
     }
   }
@@ -757,6 +832,30 @@ class Server::Impl {
       // on this connection belong to a live instance.
       if (draining_.load(std::memory_order_relaxed)) return;
     }
+  }
+
+  // An HTTP connection: gateway/ routes and translates, and every request
+  // it makes runs here, in process, on this worker's slot, exactly as a
+  // GAF1 frame would. Only the first request saw the admission queue.
+  void ServeHttp(int fd, WorkerSlot* slot, double queue_wait_ms) {
+    ServeHttpConnection(
+        fd, options_.io_timeout_seconds, &http_counters_,
+        [this] {
+          return stopping_.load(std::memory_order_relaxed) ||
+                 draining_.load(std::memory_order_relaxed);
+        },
+        [&](Request request) {
+          request.transport = Transport::kHttp;
+          WallTimer timer;
+          bool shutdown_after = false;  // kShutdown has no HTTP route.
+          Response response =
+              HandleRequest(request, &shutdown_after, slot, queue_wait_ms);
+          queue_wait_ms = 0.0;
+          response.elapsed_us = static_cast<uint64_t>(timer.Seconds() * 1e6);
+          served_.fetch_add(1, std::memory_order_relaxed);
+          served_http_.fetch_add(1, std::memory_order_relaxed);
+          return response;
+        });
   }
 
   Response HandleRequest(const Request& request, bool* shutdown_after,
@@ -1638,6 +1737,8 @@ class Server::Impl {
 
   int listen_fd_ = -1;
   int bound_port_ = -1;
+  int http_fd_ = -1;  // HTTP listener; -1 without http_port.
+  int bound_http_port_ = -1;
   std::string bound_socket_path_;
   int queue_capacity_ = 0;
   int job_gc_ticks_ = 0;  // Watchdog-thread only.
@@ -1675,6 +1776,7 @@ class Server::Impl {
   std::atomic<uint64_t> batch_jobs_{0};
   std::atomic<uint64_t> batch_cache_hits_{0};
   std::atomic<uint64_t> batch_graph_loads_{0};
+  HttpCounters http_counters_;
 };
 
 Server::Server(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -1691,6 +1793,7 @@ void Server::Shutdown() { impl_->Shutdown(); }
 void Server::Drain() { impl_->Drain(); }
 void Server::Wait() { impl_->Wait(); }
 int Server::port() const { return impl_->port(); }
+int Server::http_port() const { return impl_->http_port(); }
 ResultCache::Stats Server::cache_stats() const { return impl_->cache_stats(); }
 ServerStatsResult Server::stats() const { return impl_->ServerStats(); }
 

@@ -2,12 +2,19 @@
 //
 // A long-running server that accepts align/evaluate/stats requests over the
 // length-prefixed binary protocol (server/protocol.h) on a Unix or TCP
-// socket and dispatches them to a bounded worker pool:
+// socket, and optionally HTTP/JSON requests (gateway/gateway.h) on a second,
+// loopback TCP port, and dispatches both to one bounded worker pool:
 //
-//   accept thread ──▶ bounded queue ──▶ K worker threads
-//                        │
-//                        └── full? send a typed BUSY response and close
-//                            (admission control never stalls the accept loop)
+//   GAF1 listener ─┐
+//                  ├─▶ accept thread ──▶ bounded queue ──▶ K worker threads
+//   HTTP listener ─┘        │                                │
+//   (http_port)             │     each entry is tagged with its listener;
+//                           │     a worker serves GAF1 frames or HTTP
+//                           │     requests on it through the same
+//                           │     HandleRequest
+//                           └── full? a typed BUSY (GAF1 frame / HTTP 429)
+//                               and close (admission control never stalls
+//                               the accept loop)
 //
 // Request isolation: every align request runs in a forked child via
 // RunIsolated (common/subprocess.h), with the request's deadline_ms mapped
@@ -57,6 +64,12 @@ struct ServerOptions {
   // Server::port()).
   std::string socket_path;
   int port = -1;
+
+  // Also serve HTTP/JSON (gateway/gateway.h) on 127.0.0.1:http_port
+  // (0 = kernel-assigned; read it back from Server::http_port()). HTTP
+  // connections share the admission queue, the workers and the
+  // io_timeout_seconds of GAF1 connections. -1 = off.
+  int http_port = -1;
 
   // Worker pool size and admission-control queue depth (0 = 2 * workers).
   // Once `queue_capacity` connections are waiting, further arrivals get an
@@ -175,6 +188,9 @@ class Server {
 
   // Resolved TCP port (useful with port = 0); -1 for Unix transport.
   int port() const;
+
+  // Resolved HTTP port (useful with http_port = 0); -1 when HTTP is off.
+  int http_port() const;
 
   ResultCache::Stats cache_stats() const;
 

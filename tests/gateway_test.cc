@@ -1,10 +1,10 @@
 // Tests for the HTTP/JSON gateway (DESIGN.md §16): the hand-rolled HTTP
 // parser (table-driven over hostile inputs), the strict JSON codec, the
 // pinned ResponseCode→HTTP status mapping, the kAlignBatch execution path
-// (amortized graph resolution, partial outcomes), and an end-to-end
-// gateway+daemon pair exercised over real TCP sockets — every route, every
-// error mapping, oversize/slowloris/overload hardening, and concurrent
-// clients.
+// (amortized graph resolution, partial outcomes), and a daemon serving
+// HTTP on its own listener, exercised over real TCP sockets — every route,
+// every error mapping, oversize/slowloris/overload hardening, admission
+// and drain shared with GAF1, and concurrent clients.
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -403,7 +403,7 @@ TEST(BatchCodecTest, JsonSchemaBuildsTheSameRequest) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: daemon + gateway over real sockets.
+// End-to-end: a daemon serving GAF1 and HTTP over real sockets.
 
 std::string TempPath(const char* tag) {
   return "/tmp/ga_gw_" + std::string(tag) + "_" + std::to_string(getpid());
@@ -482,31 +482,22 @@ HttpReply Post(int port, const std::string& path, const std::string& body) {
 
 class GatewayFixture : public ::testing::Test {
  protected:
+  // Starts a daemon on a Unix socket that also serves HTTP on a
+  // kernel-assigned loopback port.
   void StartDaemon(ServerOptions options) {
     if (options.socket_path.empty()) {
       options.socket_path = TempPath("sock");
     }
+    options.http_port = 0;
     socket_path_ = options.socket_path;
     auto server = Server::Create(options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = *std::move(server);
     ASSERT_TRUE(server_->Start().ok());
-  }
-
-  void StartGateway(GatewayOptions options = {}) {
-    options.backend.socket_path = socket_path_;
-    auto gateway = Gateway::Create(options);
-    ASSERT_TRUE(gateway.ok()) << gateway.status().ToString();
-    gateway_ = *std::move(gateway);
-    ASSERT_TRUE(gateway_->Start().ok());
-    ASSERT_GT(gateway_->port(), 0);
+    ASSERT_GT(server_->http_port(), 0);
   }
 
   void TearDown() override {
-    if (gateway_ != nullptr) {
-      gateway_->Shutdown();
-      gateway_->Wait();
-    }
     if (server_ != nullptr) {
       server_->Shutdown();
       server_->Wait();
@@ -529,11 +520,28 @@ class GatewayFixture : public ::testing::Test {
     return *stats;
   }
 
-  int port() const { return gateway_->port(); }
+  // One HTTP-side counter, read from the "gateway" object of GET /stats
+  // like any client would (the /stats request itself is counted too). A
+  // 429 means the admission queue has not yet drained connections a test
+  // just closed; retry as its Retry-After says.
+  int64_t GatewayCounter(const char* key) {
+    HttpReply reply = Get(port(), "/stats");
+    for (int i = 0; i < 250 && reply.status == 429; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      reply = Get(port(), "/stats");
+    }
+    GA_CHECK(reply.status == 200);
+    auto body = ParseJson(reply.body);
+    GA_CHECK(body.ok());
+    int64_t v = -1;
+    GA_CHECK(body->Get("gateway").Get(key).AsInt64(&v, 0, int64_t{1} << 40));
+    return v;
+  }
+
+  int port() const { return server_->http_port(); }
 
   std::string socket_path_;
   std::unique_ptr<Server> server_;
-  std::unique_ptr<Gateway> gateway_;
 };
 
 constexpr char kInlineAlignBody[] =
@@ -542,7 +550,6 @@ constexpr char kInlineAlignBody[] =
 
 TEST_F(GatewayFixture, HealthzAndRoutingAndErrors) {
   StartDaemon({});
-  StartGateway();
 
   HttpReply reply = Get(port(), "/healthz");
   EXPECT_EQ(reply.status, 200);
@@ -564,14 +571,14 @@ TEST_F(GatewayFixture, HealthzAndRoutingAndErrors) {
                 .status,
             501);
 
-  const GatewayStats stats = gateway_->stats();
-  EXPECT_GE(stats.requests, 9u);
-  EXPECT_GE(stats.bad_requests, 5u);
+  // Nine requests above, plus the GET /stats that GatewayCounter sends:
+  // the /stats request is counted before its handler reads the counters.
+  EXPECT_GE(GatewayCounter("requests"), 10);
+  EXPECT_GE(GatewayCounter("bad_requests"), 5);
 }
 
 TEST_F(GatewayFixture, AlignInlineMatchesDirectSubmit) {
   StartDaemon({});
-  StartGateway();
 
   HttpReply reply = Post(port(), "/v1/align", kInlineAlignBody);
   ASSERT_EQ(reply.status, 200) << reply.raw;
@@ -618,7 +625,6 @@ TEST_F(GatewayFixture, GraphStoreRoutesAndAlignByHash) {
   ServerOptions sopts;
   sopts.store_dir = TempPath("store");
   StartDaemon(sopts);
-  StartGateway();
 
   HttpReply put = Post(port(), "/v1/graphs",
                        R"({"n":4,"edges":[[0,1],[1,2],[2,3]]})");
@@ -655,7 +661,6 @@ TEST_F(GatewayFixture, BatchAmortizesGraphLoads) {
   ServerOptions sopts;
   sopts.store_dir = TempPath("batchstore");
   StartDaemon(sopts);
-  StartGateway();
 
   const std::string h1 =
       ParseJson(Post(port(), "/v1/graphs",
@@ -727,7 +732,6 @@ TEST_F(GatewayFixture, BatchAmortizesGraphLoads) {
 
 TEST_F(GatewayFixture, BatchPartialAndUniformFailures) {
   StartDaemon({});
-  StartGateway();
 
   // Mixed outcomes: top-level 207 PARTIAL, per-job codes preserved.
   HttpReply reply = Post(
@@ -756,18 +760,18 @@ TEST_F(GatewayFixture, BatchPartialAndUniformFailures) {
 
 TEST_F(GatewayFixture, OversizeBodyAnswers413BeforeBuffering) {
   StartDaemon({});
-  GatewayOptions gopts;
-  gopts.limits.max_body_bytes = 1024;
-  StartGateway(gopts);
 
-  // Declaring past the cap is refused from the header alone — no body sent.
-  HttpReply reply = DoRaw(port(),
-                          "POST /v1/align HTTP/1.1\r\nHost: t\r\n"
-                          "Content-Length: 1000000\r\n\r\n");
-  EXPECT_EQ(reply.status, 413);
-  EXPECT_EQ(gateway_->stats().oversized, 1u);
-
+  // Declaring past the default 8 MB cap is refused from the header alone —
+  // no body sent.
   HttpLimits defaults;
+  HttpReply reply =
+      DoRaw(port(), "POST /v1/align HTTP/1.1\r\nHost: t\r\n"
+                    "Content-Length: " +
+                        std::to_string(defaults.max_body_bytes + 1) +
+                        "\r\n\r\n");
+  EXPECT_EQ(reply.status, 413);
+  EXPECT_EQ(GatewayCounter("oversized"), 1);
+
   std::string huge_header =
       "GET /healthz HTTP/1.1\r\nX-Pad: " +
       std::string(defaults.max_head_bytes, 'y') + "\r\n\r\n";
@@ -775,12 +779,11 @@ TEST_F(GatewayFixture, OversizeBodyAnswers413BeforeBuffering) {
 }
 
 TEST_F(GatewayFixture, SlowRequestAnswers408) {
-  StartDaemon({});
-  GatewayOptions gopts;
-  gopts.io_timeout_seconds = 0.4;
-  StartGateway(gopts);
+  ServerOptions sopts;
+  sopts.io_timeout_seconds = 0.4;  // Shared by GAF1 and HTTP connections.
+  StartDaemon(sopts);
 
-  // Send half a request and stall: the gateway must give up with 408
+  // Send half a request and stall: the daemon must give up with 408
   // instead of holding the worker forever.
   const int fd = ConnectTcp(port());
   ASSERT_GE(fd, 0);
@@ -790,41 +793,107 @@ TEST_F(GatewayFixture, SlowRequestAnswers408) {
   HttpReply reply = ReadReply(fd);
   close(fd);
   EXPECT_EQ(reply.status, 408) << reply.raw;
-  EXPECT_EQ(gateway_->stats().timeouts, 1u);
+  EXPECT_EQ(GatewayCounter("timeouts"), 1);
 }
 
-TEST_F(GatewayFixture, ConnectionLimitAnswers503AtAccept) {
-  StartDaemon({});
-  GatewayOptions gopts;
-  gopts.workers = 1;
-  gopts.max_connections = 1;
-  gopts.io_timeout_seconds = 5.0;
-  StartGateway(gopts);
-
-  // Occupy the single slot with a half-sent request, then connect again:
-  // the second connection must be turned away with a typed 503 now, not
-  // queued behind the stalled one.
-  const int held = ConnectTcp(port());
-  ASSERT_GE(held, 0);
-  const std::string half = "GET /healthz HTT";
-  ASSERT_GT(send(held, half.data(), half.size(), MSG_NOSIGNAL), 0);
-  // Give the worker a moment to claim the held connection.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  HttpReply reply = Get(port(), "/healthz");
-  EXPECT_EQ(reply.status, 503) << reply.raw;
+// Checks an accept-time rejection: the typed code in the JSON body, the
+// HTTP status the mapping gives it, and the backoff hint in both places.
+void ExpectTransientRejection(const HttpReply& reply, int status,
+                              const char* code) {
+  EXPECT_EQ(reply.status, status) << reply.raw;
   auto body = ParseJson(reply.body);
-  ASSERT_TRUE(body.ok());
-  EXPECT_EQ(body->Get("status").AsString(), "BUSY");
-  // The accept-time rejection carries the standard backoff hint.
+  ASSERT_TRUE(body.ok()) << reply.raw;
+  EXPECT_EQ(body->Get("status").AsString(), code);
   EXPECT_NE(reply.raw.find("Retry-After:"), std::string::npos) << reply.raw;
-  EXPECT_GE(gateway_->stats().rejected_overload, 1u);
-  close(held);
+  int64_t hint_ms = 0;
+  EXPECT_TRUE(body->Get("retry_after_ms").AsInt64(&hint_ms, 1, 60000));
+}
+
+TEST_F(GatewayFixture, ConnectionLimitAnswers429AtAccept) {
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.queue_capacity = 1;
+  sopts.io_timeout_seconds = 5.0;
+  StartDaemon(sopts);
+
+  // Occupy the single worker and the single queue slot with half-sent
+  // requests, then connect again: the third connection must be turned away
+  // with a typed 429 BUSY now, not queued behind the stalled ones.
+  const std::string half = "GET /healthz HTT";
+  std::vector<int> held;
+  for (int i = 0; i < 2; ++i) {
+    held.push_back(ConnectTcp(port()));
+    ASSERT_GE(held.back(), 0);
+    ASSERT_GT(send(held.back(), half.data(), half.size(), MSG_NOSIGNAL), 0);
+    // Give the worker a moment to claim the first connection.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+
+  ExpectTransientRejection(Get(port(), "/healthz"), 429, "BUSY");
+  for (int fd : held) close(fd);
+  EXPECT_GE(GatewayCounter("rejected_overload"), 1);
+  EXPECT_GE(DaemonStats().busy_rejected, 1u);
+}
+
+TEST_F(GatewayFixture, HttpSharesTheDaemonAdmissionQueue) {
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.queue_capacity = 1;
+  StartDaemon(sopts);
+
+  // GAF1 clients hold the single worker and fill the single queue slot...
+  ClientOptions copts;
+  copts.socket_path = socket_path_;
+  auto holder = Client::Connect(copts);
+  ASSERT_TRUE(holder.ok());
+  Request ping;
+  ping.type = RequestType::kPing;
+  auto pong = holder->Call(ping);
+  ASSERT_TRUE(pong.ok());
+  ASSERT_EQ(pong->code, ResponseCode::kOk);
+  auto queued = Client::Connect(copts);
+  ASSERT_TRUE(queued.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  // ...so an HTTP connection finds the same queue full.
+  ExpectTransientRejection(Get(port(), "/healthz"), 429, "BUSY");
+}
+
+TEST_F(GatewayFixture, DrainAnswersQueuedHttpWith503) {
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.queue_capacity = 2;
+  StartDaemon(sopts);
+
+  // A GAF1 client holds the single worker; an HTTP request waits in the
+  // admission queue behind it.
+  ClientOptions copts;
+  copts.socket_path = socket_path_;
+  auto holder = std::make_unique<Client>(*Client::Connect(copts));
+  Request ping;
+  ping.type = RequestType::kPing;
+  auto pong = holder->Call(ping);
+  ASSERT_TRUE(pong.ok());
+  ASSERT_EQ(pong->code, ResponseCode::kOk);
+  const int fd = ConnectTcp(port());
+  ASSERT_GE(fd, 0);
+  const std::string get = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+  ASSERT_EQ(send(fd, get.data(), get.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(get.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  // Drain: the queued HTTP connection gets a typed 503, not silence.
+  server_->Drain();
+  HttpReply reply = ReadReply(fd);
+  close(fd);
+  ExpectTransientRejection(reply, 503, "SHUTTING_DOWN");
+
+  holder.reset();   // Disconnect the worker's client.
+  server_->Wait();  // A drained daemon winds down without Shutdown().
 }
 
 TEST_F(GatewayFixture, KeepAliveServesSequentialRequests) {
   StartDaemon({});
-  StartGateway();
 
   const int fd = ConnectTcp(port());
   ASSERT_GE(fd, 0);
@@ -843,7 +912,6 @@ TEST_F(GatewayFixture, KeepAliveServesSequentialRequests) {
 
 TEST_F(GatewayFixture, StatsReportsBothLayers) {
   StartDaemon({});
-  StartGateway();
 
   ASSERT_EQ(Get(port(), "/healthz").status, 200);
   ASSERT_EQ(Post(port(), "/v1/align", kInlineAlignBody).status, 200);
@@ -857,7 +925,7 @@ TEST_F(GatewayFixture, StatsReportsBothLayers) {
   ASSERT_TRUE(gw.Get("requests").AsInt64(&v, 1, 1 << 20));
   const JsonValue& daemon = body->Get("daemon");
   ASSERT_TRUE(daemon.is_object());
-  // Forwarded calls carry the HTTP transport tag, so the daemon's
+  // In-process HTTP requests are tagged Transport::kHttp, so the daemon's
   // per-transport counter moves.
   ASSERT_TRUE(daemon.Get("served_http").AsInt64(&v, 1, 1 << 20));
   ASSERT_TRUE(daemon.Get("served").AsInt64(&v, 1, 1 << 20));
@@ -884,17 +952,16 @@ TEST_F(GatewayFixture, StatsReportsBothLayers) {
 }
 
 TEST_F(GatewayFixture, ConcurrentClientsAllSucceed) {
-  StartDaemon({});
-  GatewayOptions gopts;
-  gopts.workers = 4;
-  StartGateway(gopts);
+  ServerOptions sopts;
+  sopts.workers = 4;
+  StartDaemon(sopts);
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 4;
   std::vector<int> failures(kThreads, 0);
   // The daemon lives in this process and forks per alignment; these client
   // threads only touch sockets, so they register as fork-tolerant exactly
-  // like the gateway's own workers.
+  // like the daemon's own workers.
   std::vector<ForkTolerantThread> threads;
   const int p = port();
   for (int t = 0; t < kThreads; ++t) {
@@ -913,16 +980,6 @@ TEST_F(GatewayFixture, ConcurrentClientsAllSucceed) {
   }
 }
 
-TEST_F(GatewayFixture, GatewayWithDeadBackendAnswers503) {
-  // No daemon at all: the gateway stays up and reports the outage as a
-  // typed 503, never a hang or a crash.
-  socket_path_ = TempPath("deadsock");
-  StartGateway();
-  HttpReply reply = Get(port(), "/healthz");
-  EXPECT_EQ(reply.status, 503);
-  EXPECT_GE(gateway_->stats().backend_errors, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Async jobs over HTTP (DESIGN.md §17).
 
@@ -935,7 +992,6 @@ TEST_F(GatewayFixture, JobRoutesEndToEnd) {
   ServerOptions sopts;
   sopts.jobs_dir = TempPath("jobs");
   StartDaemon(sopts);
-  StartGateway();
 
   // Submit: 202 with the job envelope, job id rendered as 16 hex digits.
   const std::string job_body =
@@ -1024,7 +1080,6 @@ TEST_F(GatewayFixture, CancelAcceptedJobBeforeItRuns) {
   sopts.jobs_dir = TempPath("canceljobs");
   sopts.job_workers = 1;
   StartDaemon(sopts);
-  StartGateway();
 
   // Wedge the single job worker with a slow job, then submit and cancel a
   // second one while it is still ACCEPTED.
@@ -1050,7 +1105,6 @@ TEST_F(GatewayFixture, CancelAcceptedJobBeforeItRuns) {
 
 TEST_F(GatewayFixture, JobsDisabledDaemonAnswersTypedError) {
   StartDaemon({});  // No --jobs-dir: synchronous-only.
-  StartGateway();
   HttpReply reply = Post(port(), "/v1/jobs", kInlineAlignBody);
   EXPECT_EQ(reply.status, 500) << reply.raw;
   auto body = ParseJson(reply.body);
@@ -1062,7 +1116,6 @@ TEST_F(GatewayFixture, QuotaRejectionCarriesRetryAfterHint) {
   ServerOptions sopts;
   sopts.quota_rps = 0.5;  // Burst max(1, 2*0.5) = 1: the second align trips.
   StartDaemon(sopts);
-  StartGateway();
 
   const std::string body =
       R"({"client":"quota-tester",)" + std::string(kInlineAlignBody).substr(1);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +66,23 @@ TEST(ParallelForTest, ZeroAndNegativeSizesAreNoOps) {
 
 TEST(ParallelForTest, ThreadCountIsPositive) {
   EXPECT_GE(ParallelThreadCount(), 1);
+}
+
+TEST(ParallelForTest, ThreadCountParseIsStrictAndCapped) {
+  EXPECT_EQ(*ParseThreadCount("1"), 1);
+  EXPECT_EQ(*ParseThreadCount("8"), 8);
+  EXPECT_EQ(*ParseThreadCount(std::to_string(kMaxParallelThreads)),
+            kMaxParallelThreads);
+  for (const std::string& bad :
+       {std::to_string(kMaxParallelThreads + 1), std::string("99999999999"),
+        std::string("2x"), std::string("0"), std::string("-3"),
+        std::string("junk"), std::string(""), std::string(" 4")}) {
+    auto parsed = ParseThreadCount(bad);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("'" + bad + "'"),
+              std::string::npos);
+  }
 }
 
 TEST(ParallelForTest, RepeatedCallsAreStable) {

@@ -3,6 +3,7 @@
 // cache, and an end-to-end daemon exercising isolation, caching, admission
 // control, and shutdown over a real Unix socket.
 
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -485,6 +486,25 @@ TEST_F(ServerFixture, RejectsBadOptions) {
   EXPECT_FALSE(Server::Create(opts).ok());
 }
 
+TEST_F(ServerFixture, BusyHttpPortFailsCreateWithoutHalfStarting) {
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("http");
+  opts.http_port = 0;
+  StartServer(opts);
+  ASSERT_GT(server_->http_port(), 0);
+  // A second daemon on the same HTTP port refuses to start, and leaves no
+  // socket file behind for its GAF1 listener.
+  ServerOptions clash;
+  clash.socket_path = TempSocketPath("http2");
+  clash.http_port = server_->http_port();
+  auto second = Server::Create(clash);
+  ASSERT_FALSE(second.ok());
+  EXPECT_NE(second.status().ToString().find(std::to_string(clash.http_port)),
+            std::string::npos)
+      << second.status().ToString();
+  EXPECT_NE(::access(clash.socket_path.c_str(), F_OK), 0);
+}
+
 TEST_F(ServerFixture, ConnectToMissingSocketFails) {
   ClientOptions copts;
   copts.socket_path = TempSocketPath("nonexistent");
@@ -572,6 +592,34 @@ TEST_F(ServerFixture, PingAndStatsAndEvaluate) {
   EXPECT_DOUBLE_EQ(er->accuracy, 1.0);
 }
 
+// One HTTP/1.1 exchange over loopback TCP with Connection: close; returns
+// the status code (0 when no well-formed reply came back).
+int HttpStatusOf(int port, const std::string& method, const std::string& path,
+                 const std::string& body = "") {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return 0;
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return 0;
+  }
+  const std::string request = method + " " + path +
+                              " HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+                              "Content-Length: " +
+                              std::to_string(body.size()) + "\r\n\r\n" + body;
+  (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  std::string reply;
+  char chunk[4096];
+  for (ssize_t n; (n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0;) {
+    reply.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return reply.rfind("HTTP/1.1 ", 0) == 0 ? std::atoi(reply.c_str() + 9) : 0;
+}
+
 // The daemon never starts the ParallelFor pool in-process: evaluate, stats
 // and put-graph run inline in the worker, and aligners run in forked
 // children. So each child builds a pool of its own and gets threads (the
@@ -586,6 +634,7 @@ TEST_F(ServerFixture, ServingNeverStartsTheThreadPool) {
   opts.socket_path = TempSocketPath("pool");
   opts.workers = 2;
   opts.store_dir = store_dir;
+  opts.http_port = 0;
   StartServer(opts);
   auto client = Connect();
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -610,6 +659,16 @@ TEST_F(ServerFixture, ServingNeverStartsTheThreadPool) {
     Response resp = MustCall(*client, req);
     EXPECT_EQ(resp.code, ResponseCode::kOk) << resp.message;
   }
+  // The same worker pool serves HTTP in process: no route starts it either.
+  const int http = server_->http_port();
+  const std::string graph = R"({"n":5,"edges":[[0,1],[1,2],[2,3],[3,4],[4,0]]})";
+  EXPECT_EQ(HttpStatusOf(http, "GET", "/healthz"), 200);
+  EXPECT_EQ(HttpStatusOf(http, "GET", "/stats"), 200);
+  EXPECT_EQ(HttpStatusOf(http, "POST", "/v1/graphs", graph), 200);
+  EXPECT_EQ(HttpStatusOf(http, "POST", "/v1/align",
+                         R"({"algo":"NSD","g1":)" + graph + R"(,"g2":)" +
+                             graph + "}"),
+            200);
   EXPECT_EQ(ParallelWorkersStarted(), 0);
   std::string cmd = "rm -rf '" + std::string(store_dir) + "'";
   EXPECT_EQ(std::system(cmd.c_str()), 0);

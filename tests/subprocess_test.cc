@@ -11,9 +11,12 @@
 #include <cstdlib>
 #include <unistd.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdio>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <string>
@@ -25,6 +28,17 @@
 
 namespace graphalign {
 namespace {
+
+// Burns CPU until killed, never polling anything. The volatile store is the
+// side effect that keeps the endless loop well-defined; as a statement of
+// its own its value is never used (C++20 -Wvolatile).
+[[noreturn]] void SpinForever() {
+  volatile uint64_t spin = 0;
+  for (;;) {
+    const uint64_t next = spin + 1;
+    spin = next;
+  }
+}
 
 TEST(RunStatusNameTest, CoversAllStatuses) {
   EXPECT_STREQ(RunStatusName(RunStatus::kOk), "OK");
@@ -129,8 +143,7 @@ TEST(RunIsolatedTest, NonCooperativeHangIsKilledAtWallCap) {
   options.wall_limit_seconds = 0.5;
   auto result = RunIsolated(
       [](int) {
-        for (volatile uint64_t spin = 0;; spin = spin + 1) {
-        }
+        SpinForever();
         return 0;
       },
       options);
@@ -154,8 +167,7 @@ TEST(RunIsolatedTest, CancelHookKillsTheChildAndMarksIt) {
   };
   auto result = RunIsolated(
       [](int) {
-        for (volatile uint64_t spin = 0;; spin = spin + 1) {
-        }
+        SpinForever();
         return 0;
       },
       options);
@@ -171,8 +183,7 @@ TEST(RunIsolatedTest, WallCapKillIsNotMarkedAsCancel) {
   options.cancel = [] { return false; };  // Armed but never firing.
   auto result = RunIsolated(
       [](int) {
-        for (volatile uint64_t spin = 0;; spin = spin + 1) {
-        }
+        SpinForever();
         return 0;
       },
       options);
@@ -229,6 +240,91 @@ TEST(RunIsolatedTest, ChildOfAPoollessParentRunsParallelForOnThreads) {
     EXPECT_EQ(seen, 1u);
   }
   EXPECT_EQ(ParallelWorkersStarted(), 0);  // The child's pool is its own.
+}
+
+// A loop too small to split runs inline before the pool is built, so a
+// poolless process stays poolless (and its forked children keep threads).
+TEST(RunIsolatedTest, InlineParallelForInAPoollessChildBuildsNoPool) {
+  ASSERT_EQ(ParallelWorkersStarted(), 0);
+  auto result = RunIsolated([](int payload_fd) {
+    int64_t covered = 0;
+    ParallelFor(1, [&](int64_t begin, int64_t end) { covered += end - begin; });
+    const std::string report = std::to_string(covered) + " " +
+                               std::to_string(ParallelWorkersStarted());
+    return WritePayload(payload_fd, report) ? 0 : 1;
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->status, RunStatus::kOk) << result->detail;
+  ASSERT_TRUE(result->payload_valid);
+  EXPECT_EQ(result->payload, "1 0");
+}
+
+// A malformed GRAPHALIGN_THREADS is named in one stderr line and the pool
+// falls back to the hardware count. Each value is tried in a fresh child:
+// the pool latches its size once per process.
+TEST(RunIsolatedTest, MalformedThreadsEnvFallsBackToTheHardwareCount) {
+  ASSERT_EQ(ParallelWorkersStarted(), 0);
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  for (const char* bad : {"2x", "0", "-3", "junk"}) {
+    char log_path[] = "/tmp/ga_threads_envXXXXXX";
+    const int log_fd = ::mkstemp(log_path);
+    ASSERT_GE(log_fd, 0);
+    auto result = RunIsolated([bad, log_fd](int payload_fd) {
+      ::dup2(log_fd, STDERR_FILENO);
+      ::setenv("GRAPHALIGN_THREADS", bad, 1);
+      return WritePayload(payload_fd, std::to_string(ParallelThreadCount()))
+                 ? 0
+                 : 1;
+    });
+    ::close(log_fd);
+    std::ifstream in(log_path);
+    const std::string log((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    ::unlink(log_path);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->status, RunStatus::kOk) << result->detail;
+    ASSERT_TRUE(result->payload_valid);
+    EXPECT_EQ(result->payload, std::to_string(hardware)) << "'" << bad << "'";
+    EXPECT_NE(log.find(std::string("GRAPHALIGN_THREADS='") + bad + "'"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 1) << log;
+  }
+  EXPECT_EQ(ParallelWorkersStarted(), 0);
+}
+
+// CheckThreadsEnv reports a malformed value once and removes it, so a pool
+// built afterwards (in this process or a forked child) prints nothing more.
+TEST(RunIsolatedTest, CheckedThreadsEnvIsReportedOnce) {
+  ASSERT_EQ(ParallelWorkersStarted(), 0);
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  char log_path[] = "/tmp/ga_threads_checkXXXXXX";
+  const int log_fd = ::mkstemp(log_path);
+  ASSERT_GE(log_fd, 0);
+  auto result = RunIsolated([log_fd](int payload_fd) {
+    ::dup2(log_fd, STDERR_FILENO);
+    ::setenv("GRAPHALIGN_THREADS", "2x", 1);
+    CheckThreadsEnv();
+    const bool unset = std::getenv("GRAPHALIGN_THREADS") == nullptr;
+    return WritePayload(payload_fd, std::to_string(unset) + " " +
+                                        std::to_string(ParallelThreadCount()))
+               ? 0
+               : 1;
+  });
+  ::close(log_fd);
+  std::ifstream in(log_path);
+  const std::string log((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  ::unlink(log_path);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->status, RunStatus::kOk) << result->detail;
+  ASSERT_TRUE(result->payload_valid);
+  EXPECT_EQ(result->payload, "1 " + std::to_string(hardware));
+  EXPECT_NE(log.find("GRAPHALIGN_THREADS='2x'"), std::string::npos) << log;
+  EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 1) << log;
+  EXPECT_EQ(ParallelWorkersStarted(), 0);
 }
 
 TEST(CountProcThreadsTest, SeesAtLeastTheMainThread) {

@@ -10,6 +10,10 @@
 # raw __restrict row pointers with fixed-width chunks and tails. The job
 # journal's replay and codec round-trip cases ride along as well: journal
 # events are decoded by the same field-list walker as the wire payloads.
+# The gateway suite rides along too: HTTP connections are accepted, queued,
+# served and closed by the daemon's own accept loop and workers, so every
+# HTTP fd changes hands between the listener, the admission queue and a
+# worker, and a drain or a full queue rejects it from either side.
 #
 # Usage: tools/run_sanitize.sh [source-dir]
 # Exits 77 (the ctest SKIP_RETURN_CODE) when the toolchain cannot produce an
@@ -32,7 +36,7 @@ cmake -S "$SRC" -B "$BUILD" -DGRAPHALIGN_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 # Only these suites and their dependency closure — not the whole tree.
 cmake --build "$BUILD" --target sparse_test protocol_fuzz_test linalg_test \
-  parallel_test jobs_test -j > /dev/null
+  parallel_test jobs_test gateway_test -j > /dev/null
 
 # halt_on_error keeps the failure visible to ctest; detect_leaks stays on so
 # candidate buffers and solver scratch are leak-checked too.
@@ -46,3 +50,6 @@ echo "dense linalg kernels are clean under AddressSanitizer"
 ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/jobs_test" \
   --gtest_filter='JobsTest.Journal*:JobsTest.*Durable*:JobsTest.Crash*:JobsTest.Gc*:JobsTest.*RoundTrip*'
 echo "job journal replay is clean under AddressSanitizer"
+ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/gateway_test" \
+  --gtest_filter='GatewayFixture.*:HttpParserTest.*'
+echo "HTTP serving in the daemon's workers is clean under AddressSanitizer"
